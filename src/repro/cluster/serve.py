@@ -5,12 +5,14 @@ The section VII-C extension lifted to the serving layer: every
 single-node :class:`~repro.serve.frontend.ServingSystem` (its own
 admission controller, batcher, placer, SLO tracker — per-node admission
 is the sharding story), and the :class:`ClusterServingSystem` merges
-their event sources onto **one shared virtual timeline**, exactly the way
-the single-node engine merges its own heaps.  Event phases at one instant
-follow a fixed order (recoveries → migration deliveries → arrivals →
-node kills → partition crashes → flushes) over the cluster's
-deterministic node iteration order, so a cluster run replays
-byte-identically from its seed.
+their event sources onto **one shared virtual timeline** on the
+:mod:`repro.sim.events` kernel, driving each node through its public node
+interface (``advance_to``, ``next_event_time``, ``flush_due``,
+``backlog``, ``harvest``, ``adopt``, ``expire_parked``).  Event phases at
+one instant follow a fixed order (node recoveries → migration deliveries
+→ arrivals → node kills → partition crashes → node flushes → scrape) over
+the cluster's deterministic node iteration order, so a cluster run
+replays byte-identically from its seed.
 
 Routing: each tenant has a **home node** by rendezvous (highest-random-
 weight) hashing over the *alive nodes holding the request's enclave
@@ -46,8 +48,10 @@ from repro.serve.admission import Request
 from repro.serve.frontend import ServingReport, ServingSystem
 from repro.serve.slo import SLOTracker
 from repro.serve.tenants import TenantSpec
+from repro.sim.events import EventKernel, Schedule, Source
 
 _ARRIVAL_ORDER = attrgetter("arrival_us", "rid")
+_ARRIVAL_TIME = attrgetter("arrival_us")
 
 #: Rejection recorded when no alive node holds the request's image.
 REJECT_NO_IMAGE = "no-image-replica"
@@ -67,14 +71,13 @@ def rendezvous_score(key: str, node: str) -> int:
 class _NodeState:
     """One node's serving frontend plus its cluster-side bookkeeping."""
 
-    __slots__ = ("node", "name", "serving", "alive", "gpu_devices", "routed")
+    __slots__ = ("node", "name", "serving", "alive", "routed")
 
     def __init__(self, node: ClusterNode, serving: ServingSystem) -> None:
         self.node = node
         self.name = node.name
         self.serving = serving
         self.alive = True
-        self.gpu_devices = node.gpu_devices()
         self.routed = 0
 
 
@@ -202,7 +205,7 @@ class ClusterReport:
         )
 
 
-class ClusterServingSystem:
+class ClusterServingSystem(EventKernel):
     """The sharded multi-node serving frontend."""
 
     def __init__(
@@ -221,7 +224,6 @@ class ClusterServingSystem:
     ) -> None:
         self.cluster = cluster
         self.telemetry = telemetry
-        self._next_scrape_us: Optional[float] = None
         if attest:
             alive = [n for n in cluster if n.alive]
             if not all(n.attested for n in alive):
@@ -256,7 +258,6 @@ class ClusterServingSystem:
             self._states[node.name] = _NodeState(node, serving)
         if telemetry is not None:
             telemetry.add_extra(self._telemetry_extra)
-        self._now = 0.0
         self._routing_digest = hashlib.sha256()
         self.unroutable = 0
         self.node_kills: List[Tuple[float, str]] = []
@@ -303,13 +304,6 @@ class ClusterServingSystem:
         }
 
     # -- routing -----------------------------------------------------------
-    def _backlog(self, ns: _NodeState) -> int:
-        sv = ns.serving
-        total = len(sv._parked)
-        for device in ns.gpu_devices:
-            total += sv._effective_depth(device)
-        return total
-
     def _candidates(self, image: str) -> List[str]:
         return [
             name for name in self.images.nodes_for(image)
@@ -321,7 +315,9 @@ class ClusterServingSystem:
         candidates = self._candidates(request_image(request))
         if not candidates:
             return None
-        backlog = {name: self._backlog(self._states[name]) for name in sorted(candidates)}
+        backlog = {
+            name: self._states[name].serving.backlog() for name in sorted(candidates)
+        }
         return self.router.route(request.tenant, candidates, backlog)
 
     def offer(self, request: Request) -> Optional[str]:
@@ -361,19 +357,9 @@ class ClusterServingSystem:
         ns = self._states.get(name)
         if ns is None or not ns.alive:
             return []
-        sv = ns.serving
-        unfinished: List[Request] = []
-        for device in sorted(sv.batcher.depths()):
-            unfinished.extend(sv.batcher.evict(device))
-        unfinished.extend(sv._parked)
-        sv._parked = []
-        unfinished.sort(key=_ARRIVAL_ORDER)
         # The machine analog of the partition panic: every partition
         # fails, and the SPM scrub runs on the way down.
-        for device in ns.gpu_devices:
-            if device in sv._down_until:
-                continue  # already mid-recovery; its pages are scrubbed
-            ns.node.system.fail_partition(device, background=True)
+        unfinished = ns.serving.harvest()
         if self.migration is not None:
             self.migration.audit_scrub(ns.node)
         ns.alive = False
@@ -431,25 +417,14 @@ class ClusterServingSystem:
             self.telemetry.node_killed(self._now, name)
         return unfinished
 
-    def _inject(self, ns: _NodeState, request: Request) -> None:
-        """Adopt a migrated request on its new node: admitted state moves
-        with it (no re-charge of the rate limiter), then it places or —
-        if the deadline passed in transit — expires, exactly once."""
-        sv = ns.serving
-        sv._admitted.add(request.rid)
-        tenant = sv.registry.get(request.tenant)
-        tenant.in_flight += 1
-        tenant.in_flight_bytes += request.memory_bytes
-        sv.slo.record_requeued(request)
-        self.migrated_requests += 1
-        if request.deadline_us < sv._now:
-            sv._expire(request)
-        else:
-            sv._place(request)
-
-    def _deliver_migrations(self) -> None:
+    def _next_migration(self) -> Optional[float]:
         heap = self._pending_migrations
-        while heap and heap[0][0] <= self._now:
+        return heap[0][0] if heap else None
+
+    def _deliver_migrations(self, now: float) -> None:
+        """Adopt every migrated request whose transfer has landed."""
+        heap = self._pending_migrations
+        while heap and heap[0][0] <= now:
             _, _, target_name, request = heapq.heappop(heap)
             ns = self._states.get(target_name)
             if ns is None or not ns.alive:
@@ -463,38 +438,37 @@ class ClusterServingSystem:
                 ns = self._states[
                     self.router.home(request.tenant, [s.name for s in survivors])
                 ]
-            self._inject(ns, request)
+            self.migrated_requests += 1
+            ns.serving.adopt(request)
 
-    # -- the cluster event loop --------------------------------------------
-    def _next_event_time(
-        self,
-        pending: Sequence[Request],
-        ai: int,
-        kills: Sequence[Tuple[float, str]],
-        ki: int,
-        crashes: Sequence[Tuple[float, str, str]],
-        ci: int,
-    ) -> Optional[float]:
+    # -- the cluster's event sources ---------------------------------------
+    def _next_node_event(self) -> Optional[float]:
         t: Optional[float] = None
-        if ai < len(pending):
-            t = pending[ai].arrival_us
-        if ki < len(kills) and (t is None or kills[ki][0] < t):
-            t = kills[ki][0]
-        if ci < len(crashes) and (t is None or crashes[ci][0] < t):
-            t = crashes[ci][0]
-        if self._pending_migrations:
-            due = self._pending_migrations[0][0]
-            if t is None or due < t:
-                t = due
         for ns in self._alive():
-            node_t = ns.serving._next_event_time((), 0, (), 0)
+            node_t = ns.serving.next_event_time()
             if node_t is not None and (t is None or node_t < t):
                 t = node_t
-        # Scrapes subdivide waits; they never extend the makespan.
-        scrape = self._next_scrape_us
-        if scrape is not None and t is not None and scrape < t:
-            t = scrape
         return t
+
+    def _advance_nodes(self, now: float) -> None:
+        for ns in self._alive():
+            ns.serving.advance_to(now)
+
+    def _flush_nodes(self, now: float) -> None:
+        for ns in self._alive():
+            ns.serving.flush_due(now)
+
+    def _crash(self, event: Tuple[float, str, str]) -> None:
+        _, node, device = event
+        ns = self._states.get(node)
+        if ns is not None and ns.alive:
+            ns.serving.crash_partition(device)
+
+    def _expire_parked(self) -> None:
+        # Stream over: anything still parked on an alive node can never
+        # run (same backstop as the single-node engine).
+        for ns in self._alive():
+            ns.serving.expire_parked()
 
     def run(
         self,
@@ -508,56 +482,29 @@ class ClusterServingSystem:
         ``node_kill_events`` is a list of ``(time_us, node)`` machine
         deaths; ``crash_events`` a list of ``(time_us, node, device)``
         single-partition crashes (the figure-9 scenario on a named node).
+        An unknown node or partition raises :class:`ClusterError` before
+        any arrival; an event on a node already dead when it fires skips.
         """
-        pending = sorted(arrivals, key=_ARRIVAL_ORDER)
         kills = sorted(node_kill_events)
+        for _, name in kills:
+            self.cluster.node(name)  # raises ClusterError for an unknown node
         crashes = sorted(crash_events)
-        if self.telemetry is not None:
-            self._next_scrape_us = self._now + self.telemetry.scrape_interval_us
-        ai = ki = ci = 0
-        n_pending, n_kills, n_crashes = len(pending), len(kills), len(crashes)
-        while True:
-            now = self._next_event_time(pending, ai, kills, ki, crashes, ci)
-            if now is None:
-                break
-            if now > self._now:
-                self._now = now
-            for ns in self._alive():
-                sv = ns.serving
-                if self._now > sv._now:
-                    sv._now = self._now
-                sv._process_recoveries()
-            self._deliver_migrations()
-            while ai < n_pending and pending[ai].arrival_us <= self._now:
-                self.offer(pending[ai])
-                ai += 1
-            while ki < n_kills and kills[ki][0] <= self._now:
-                self.kill_node(kills[ki][1])
-                ki += 1
-            while ci < n_crashes and crashes[ci][0] <= self._now:
-                _, node, device = crashes[ci]
-                ns = self._states.get(node)
-                if ns is not None and ns.alive:
-                    ns.serving.crash_partition(device)
-                ci += 1
-            for ns in self._alive():
-                sv = ns.serving
-                for device in sv.batcher.due_partitions(sv._now):
-                    sv._flush(device)
-            if self.telemetry is not None and self._next_scrape_us is not None:
-                while self._next_scrape_us <= self._now:
-                    self.telemetry.scrape(self._next_scrape_us)
-                    self._next_scrape_us += self.telemetry.scrape_interval_us
-        # Stream over: anything still parked on an alive node can never
-        # run (same backstop as the single-node loop).
-        for ns in self._alive():
-            sv = ns.serving
-            for request in sv._parked:
-                sv._expire(request)
-            sv._parked.clear()
-        if self.telemetry is not None:
-            self.telemetry.scrape(self._now)
-            self._next_scrape_us = None
+        for t_us, name, device in crashes:
+            if device not in self.cluster.node(name).system.moses:
+                raise ClusterError(f"crash event at {t_us}: {name} has no {device!r}")
+        pending = sorted(arrivals, key=_ARRIVAL_ORDER)
+        self._run_events(
+            [
+                Source(self._next_node_event, self._advance_nodes),
+                Source(self._next_migration, self._deliver_migrations),
+                Schedule(pending, self.offer, at=_ARRIVAL_TIME),
+                Schedule(kills, lambda event: self.kill_node(event[1])),
+                Schedule(crashes, self._crash),
+                Source(None, self._flush_nodes),
+            ],
+            telemetry=self.telemetry,
+            drain=self._expire_parked,
+        )
         return self.report()
 
     # -- reporting ---------------------------------------------------------

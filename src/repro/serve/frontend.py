@@ -17,13 +17,13 @@ Two notions of time coexist (see ``docs/serving.md``):
   batch's service time.  The global clock serializes all partitions'
   work, so it is *not* used directly as a latency axis.
 
-The inner loop is a **heap-driven event engine** (the raw-speed engine
-refactor): the event sources — the sorted arrival trace and crash
-schedule (cursor peeks), partition recoveries (a min-heap with lazy
-deletion), batch-flush obligations (the batcher's due heap), and, when
-the fleet is elastic, partition boot/park instants and autoscaler ticks —
-are merged by next-event time, so one simulated second of open-loop
-traffic costs O(events · log n) host work.  The pre-heap implementation
+The inner loop is a **heap-driven event engine** on the
+:mod:`repro.sim.events` kernel: the event sources — the sorted arrival
+trace and crash schedule (cursor peeks), partition recoveries (a timer
+heap with lazy deletion), batch-flush obligations (the batcher's due
+heap), and, when the fleet is elastic, partition boot/park instants and
+autoscaler ticks — are merged by next-event time, so one simulated second
+of open-loop traffic costs O(events · log n) host work.  The pre-heap implementation
 rebuilt an event list and re-scanned every pending queue per step, which
 was O(events · n); it survives verbatim as
 :class:`~repro.serve.legacy.LegacyServingSystem` and the scheduler
@@ -57,7 +57,6 @@ or is reported expired, never duplicated.
 from __future__ import annotations
 
 import hashlib
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -89,8 +88,10 @@ from repro.serve.batcher import DeadlineBatcher
 from repro.serve.placement import SpatialPlacer
 from repro.serve.slo import SLOTracker
 from repro.serve.tenants import Tenant, TenantRegistry, TenantSpec
+from repro.sim.events import EventKernel, Schedule, Source, Timers
 
 _ARRIVAL_ORDER = attrgetter("arrival_us", "rid")
+_ARRIVAL_TIME = attrgetter("arrival_us")
 
 #: Elastic-fleet device states (``ServingReport.fleet_states`` values).
 FLEET_LIVE = "live"
@@ -269,7 +270,7 @@ class ServingReport:
         return out
 
 
-class ServingSystem:
+class ServingSystem(EventKernel):
     """Multi-tenant serving frontend over a CronusSystem."""
 
     def __init__(
@@ -299,15 +300,13 @@ class ServingSystem:
         """device -> completion instants of work already flushed to the
         worker but not yet finished at ``_now`` (appended in increasing
         order because ``_free_at`` is monotone per device)."""
-        self._down_until: Dict[str, float] = {}
-        self._down_heap: List[Tuple[float, str]] = []
-        """(ready_at, device) recovery events, mirroring ``_down_until``."""
+        self._down_until = Timers()
+        """device -> end of its partition's recovery window."""
         self._parked: List[Request] = []
         self._admitted: Set[str] = set()
         self._completed: Dict[str, float] = {}
         self._expired: Set[str] = set()
         self._rejected_after_admit: Set[str] = set()
-        self._now = 0.0
         self.crashes: List[str] = []
         self.wrong_results = 0
         self.duplicates_avoided = 0
@@ -315,10 +314,12 @@ class ServingSystem:
         self._metrics = system.platform.metrics
         self._request_spans: Dict[str, object] = {}
         """rid -> open request root span (serving virtual-time axis)."""
+        self._gpus = sorted(
+            name for name, mos in system.moses.items() if mos.device_type == "gpu"
+        )
         # -- telemetry pipeline (inert when None) --------------------------
         self.telemetry = telemetry
         self._tel_source = None
-        self._next_scrape_us: Optional[float] = None
         if telemetry is not None:
             # Owning engine: attach the underlying system (this enables
             # spans + metrics) and drive the scrape timer from run().
@@ -352,7 +353,6 @@ class ServingSystem:
         self._park_at: Dict[str, float] = {}
         """device -> virtual instant its drain ends (mirrors draining)."""
         self._next_tick_us: Optional[float] = None
-        self._more_arrivals = False
         self.initial_live: Tuple[str, ...] = ()
         self.scaling_events: List[Tuple[float, str, str]] = []
         self._drain_spans: Dict[str, object] = {}
@@ -371,16 +371,6 @@ class ServingSystem:
         pipeline and drives the scrape timer from its own loop."""
         self._tel_source = source
 
-    def _process_scrape(self) -> None:
-        """Fire every scrape boundary due at ``_now`` (the last phase of
-        an instant, so a scrape observes that instant's settled state)."""
-        if self.telemetry is None or self._next_scrape_us is None:
-            return
-        interval = self.telemetry.scrape_interval_us
-        while self._next_scrape_us <= self._now:
-            self.telemetry.scrape(self._next_scrape_us)
-            self._next_scrape_us += interval
-
     # -- the elastic fleet -------------------------------------------------
     def _ensure_fleet(self) -> None:
         """Switch to elastic-fleet mode (idempotent).
@@ -392,11 +382,7 @@ class ServingSystem:
         """
         if self._fleet is not None:
             return
-        gpus = sorted(
-            name
-            for name, mos in self.system.moses.items()
-            if mos.device_type == "gpu"
-        )
+        gpus = self._gpus
         if not gpus:
             raise ServingError("an elastic fleet requires at least one GPU partition")
         if self._initial_live is None:
@@ -540,6 +526,12 @@ class ServingSystem:
         for request in self.batcher.evict(device):
             self._place(request)
 
+    def _fleet_timer_due(self) -> Optional[float]:
+        """The earliest boot-completion or drain-park instant, or None."""
+        # The fleet is architecturally small (<= the SPM partition cap),
+        # so min() scans beat heap maintenance here.
+        return min((*self._boot_at.values(), *self._park_at.values()), default=None)
+
     def _process_fleet_timers(self) -> None:
         """Fire due boot-completions, then due parks (sorted by device,
         so same-instant transitions are deterministic on both engines)."""
@@ -556,12 +548,13 @@ class ServingSystem:
                 del self._park_at[device]
                 self._finish_park(device)
 
-    def _process_tick(self) -> None:
-        """Run one autoscaler evaluation if its grid instant has come."""
+    def _process_tick(self, more_arrivals: bool) -> None:
+        """Run one autoscaler evaluation if its grid instant has come;
+        ``more_arrivals``: whether arrivals remain at the instant's start."""
         scaler = self.autoscaler
         if scaler is None or self._next_tick_us is None:
             return
-        if not self._more_arrivals:
+        if not more_arrivals:
             # The arrival stream ended before this tick: cancel it rather
             # than letting a controller-only event stretch the makespan —
             # a replayed schedule has no ticks, and both runs must end at
@@ -589,11 +582,18 @@ class ServingSystem:
             t, live=live, booting=booting, parked=parked
         ):
             self._apply_scale(t, action, device)
-        if self._more_arrivals:
-            self._next_tick_us = t + scaler.policy.eval_interval_us
+        self._next_tick_us = t + scaler.policy.eval_interval_us
 
-    def _begin_run(self, scale_events: Sequence[Tuple[float, str, str]]):
-        """Validate the fixed scale schedule and arm the controller."""
+    def _begin_run(self, scale_events, crash_events):
+        """Validate the fixed schedules before any arrival is offered and
+        arm the controller; returns (scale, crash) schedules, sorted."""
+        crash_queue = sorted(crash_events)
+        for t_us, device in crash_queue:
+            if device not in self.system.moses:
+                raise ServingError(
+                    f"crash event at {t_us} names device {device!r}, "
+                    "which no partition manages"
+                )
         scale_queue = sorted(scale_events)
         for t_us, action, device in scale_queue:
             if action not in DECISION_ACTIONS:
@@ -601,11 +601,15 @@ class ServingSystem:
                     f"scale event at {t_us} has action {action!r}; replayable "
                     f"schedules contain only {DECISION_ACTIONS}"
                 )
+            if device not in self._gpus:
+                raise ServingError(
+                    f"scale event at {t_us} names non-GPU device {device!r}"
+                )
         if scale_queue:
             self._ensure_fleet()
         if self.autoscaler is not None and self._next_tick_us is None:
             self._next_tick_us = self._now + self.autoscaler.policy.eval_interval_us
-        return scale_queue
+        return scale_queue, crash_queue
 
     # -- the serving loop --------------------------------------------------
     def run(
@@ -624,118 +628,32 @@ class ServingSystem:
         previous autoscaled run's :meth:`ServingReport.scale_schedule` —
         replayed deterministically on the virtual timeline.
 
-        Event-engine loop: each step jumps the virtual clock to the next
-        event instant (an O(1) amortized merge of heap/cursor peeks)
-        and processes every event due at that instant in the fixed
-        recovery → fleet-timer → scale → arrival → crash → flush order,
-        which is the same virtual-time semantics as the legacy scan loop.
+        The phases run on :mod:`repro.sim.events` with the same
+        virtual-time semantics as the legacy scan loop.
         """
         pending = sorted(arrivals, key=_ARRIVAL_ORDER)
-        crash_queue = sorted(crash_events)
-        scale_queue = self._begin_run(scale_events)
-        if self.telemetry is not None:
-            self._next_scrape_us = self._now + self.telemetry.scrape_interval_us
-        ai = ci = si = 0
-        n_pending, n_crash = len(pending), len(crash_queue)
-        n_scale = len(scale_queue)
-        while True:
-            self._more_arrivals = ai < n_pending
-            now = self._next_event_time(pending, ai, crash_queue, ci, scale_queue, si)
-            if now is None:
-                break
-            if now > self._now:
-                self._now = now
-            self._process_recoveries()
-            if self._fleet is not None:
-                self._process_fleet_timers()
-                while si < n_scale and scale_queue[si][0] <= self._now:
-                    _, action, device = scale_queue[si]
-                    self._apply_scale(self._now, action, device)
-                    si += 1
-                self._process_tick()
-            while ai < n_pending and pending[ai].arrival_us <= self._now:
-                self.offer(pending[ai])
-                ai += 1
-            while ci < n_crash and crash_queue[ci][0] <= self._now:
-                self.crash_partition(crash_queue[ci][1])
-                ci += 1
-            for device in self.batcher.due_partitions(self._now):
-                self._flush(device)
-            self._process_scrape()
-        # A parked request with no pending recovery or boot can never run
-        # (its partition was torn down outside the serving layer): report
-        # it expired rather than losing it silently.
-        for request in self._parked:
-            self._expire(request)
-        self._parked.clear()
-        if self.telemetry is not None:
-            # Final scrape at the makespan so the tail of the run lands
-            # in the store (scrape timers never extend the makespan).
-            self.telemetry.scrape(self._now)
-            self._next_scrape_us = None
-        return self.report()
-
-    def _next_event_time(
-        self,
-        pending: Sequence[Request],
-        ai: int,
-        crash_queue: Sequence[Tuple[float, str]],
-        ci: int,
-        scale_queue: Sequence[Tuple[float, str, str]] = (),
-        si: int = 0,
-    ) -> Optional[float]:
-        """The earliest instant any event source has work, or None.
-
-        Stale recovery-heap entries (their device already recovered under
-        a different deadline) are discarded as they surface.
-        """
-        t: Optional[float] = None
-        heap = self._down_heap
-        while heap:
-            until, device = heap[0]
-            if self._down_until.get(device) == until:
-                t = until
-                break
-            heapq.heappop(heap)
-        if ai < len(pending):
-            arrival = pending[ai].arrival_us
-            if t is None or arrival < t:
-                t = arrival
-        if ci < len(crash_queue):
-            crash = crash_queue[ci][0]
-            if t is None or crash < t:
-                t = crash
-        due = self.batcher.earliest_due()
-        if due is not None and (t is None or due[0] < t):
-            t = due[0]
+        scale_queue, crash_queue = self._begin_run(scale_events, crash_events)
+        arriving = Schedule(pending, self.offer, at=_ARRIVAL_TIME)
+        sources = [Source(self.next_event_time, self.advance_to)]
         if self._fleet is not None:
-            # The fleet is architecturally small (<= the SPM partition
-            # cap), so min() scans beat heap maintenance here.
-            if self._boot_at:
-                boot = min(self._boot_at.values())
-                if t is None or boot < t:
-                    t = boot
-            if self._park_at:
-                park = min(self._park_at.values())
-                if t is None or park < t:
-                    t = park
-            tick = self._next_tick_us
-            if (
-                tick is not None
-                and self._more_arrivals
-                and (t is None or tick < t)
-            ):
-                t = tick
-        if si < len(scale_queue):
-            scale = scale_queue[si][0]
-            if t is None or scale < t:
-                t = scale
-        # A scrape deadline only wins when a real event exists after it:
-        # telemetry subdivides waits, it never extends the makespan.
-        scrape = self._next_scrape_us
-        if scrape is not None and t is not None and scrape < t:
-            t = scrape
-        return t
+            sources += [
+                Source(self._fleet_timer_due, lambda now: self._process_fleet_timers()),
+                Schedule(scale_queue, lambda e: self._apply_scale(self._now, e[1], e[2])),
+            ]
+        if self.autoscaler is not None:
+            # The tick rule: once the arrival stream has ended the tick is
+            # dropped, not fired (see _process_tick).
+            sources.append(Source(
+                lambda: None if arriving.peek() is None else self._next_tick_us,
+                lambda now: self._process_tick(arriving.peek() is not None),
+            ))
+        sources += [
+            arriving,
+            Schedule(crash_queue, lambda e: self.crash_partition(e[1])),
+            Source(None, self.flush_due),
+        ]
+        self._run_events(sources, telemetry=self.telemetry, drain=self.expire_parked)
+        return self.report()
 
     def offer(self, request: Request) -> AdmissionDecision:
         """Admit (and place) or reject one request at its arrival time."""
@@ -870,6 +788,84 @@ class ServingSystem:
         batch = self.batcher.flush(device, self._now, reason=reason)
         if batch is not None:
             self._execute_batch(batch)
+
+    # -- the node interface (a cluster's event loop drives these) ----------
+    def advance_to(self, t_us: float) -> float:
+        """Move the virtual clock to ``t_us`` (never backwards), bring up
+        every partition whose recovery window has closed and re-place the
+        requests parked for want of one; returns the clock.  This is the
+        first phase of an instant."""
+        if t_us > self._now:
+            self._now = t_us
+        recovered = False
+        while (device := self._down_until.pop_due(self._now)) is not None:
+            self.placer.mark_dirty(device)
+            recovered = True
+        if recovered:
+            self._replace_parked()
+        return self._now
+
+    def next_event_time(self) -> Optional[float]:
+        """The earliest recovery or batch-flush deadline, or None: the
+        instants at which :meth:`advance_to` and :meth:`flush_due` have
+        work.  A node driven this way has a static fleet."""
+        t = self._down_until.peek() if self._down_until else None
+        due = self.batcher.earliest_due()
+        if due is not None and (t is None or due[0] < t):
+            t = due[0]
+        return t
+
+    def flush_due(self, now: float) -> None:
+        """Flush every partition whose batch is due by ``now``."""
+        for device in self.batcher.due_partitions(now):
+            self._flush(device)
+
+    def backlog(self) -> int:
+        """Admitted work not finished at the current instant: the parked
+        requests plus, on every GPU partition, the queued requests and the
+        flushed ones still executing."""
+        total = len(self._parked)
+        for device in self._gpus:
+            total += self._effective_depth(device)
+        return total
+
+    def harvest(self) -> List[Request]:
+        """The machine died: take every admitted-but-unfinished request
+        off this node, in arrival order, and fail every partition not
+        already recovering (the SPM scrub runs on the way down)."""
+        unfinished: List[Request] = []
+        for device in sorted(self.batcher.depths()):
+            unfinished.extend(self.batcher.evict(device))
+        unfinished.extend(self._parked)
+        self._parked = []
+        unfinished.sort(key=_ARRIVAL_ORDER)
+        for device in self._gpus:
+            if device in self._down_until:
+                continue  # already mid-recovery; its pages are scrubbed
+            self.system.fail_partition(device, background=True)
+        return unfinished
+
+    def adopt(self, request: Request) -> None:
+        """Take over a request admitted on another node: its admitted state
+        moves with it (no re-charge of the rate limiter), then it places
+        or, if its deadline passed in transit, expires."""
+        self._admitted.add(request.rid)
+        tenant = self.registry.get(request.tenant)
+        tenant.in_flight += 1
+        tenant.in_flight_bytes += request.memory_bytes
+        self.slo.record_requeued(request)
+        if request.deadline_us < self._now:
+            self._expire(request)
+        else:
+            self._place(request)
+
+    def expire_parked(self) -> None:
+        """Report every parked request expired.  At the end of a run no
+        recovery or boot is pending that could place it (its partition was
+        torn down outside the serving layer), so it can never run."""
+        for request in self._parked:
+            self._expire(request)
+        self._parked.clear()
 
     # -- execution ---------------------------------------------------------
     def _worker(self, device: str):
@@ -1014,19 +1010,7 @@ class ServingSystem:
             raise ServingError(f"no partition manages device {device!r}")
         if device in self._down_until:
             return self._down_until[device]
-        rec = self.system.fail_partition(device, background=True)
-        ready_at = self._now + rec.total_us
-        self._down_until[device] = ready_at
-        heapq.heappush(self._down_heap, (ready_at, device))
-        self.placer.mark_dirty(device)
-        self.crashes.append(device)
-        if self._obs.enabled:
-            self._obs.event(
-                "serve.crash", category="serve", ts=self._now,
-                device=device, ready_at_us=ready_at,
-            )
-        if self._metrics.enabled:
-            self._metrics.counter("serve", "crashes").inc()
+        ready_at = self._mark_down(device)
         self._handle_worker_failure(device, [])
         return ready_at
 
@@ -1038,23 +1022,26 @@ class ServingSystem:
         ``SRPCPeerFailure`` in the executing batch, and the normal
         failover path re-queues the unfinished requests.
         """
-        mos = self.system.moses.get(device)
-        if mos is None or device in self._down_until:
-            return
+        if self.system.moses.get(device) is not None and device not in self._down_until:
+            self._mark_down(device, injected=True)
+
+    def _mark_down(self, device: str, **event) -> float:
+        """Fail ``device``'s partition with background recovery and keep it
+        off placement until the window closes; returns the window's end.
+        ``event`` adds attributes to the ``serve.crash`` event."""
         rec = self.system.fail_partition(device, background=True)
         ready_at = self._now + rec.total_us
-        self._down_until[device] = ready_at
-        heapq.heappush(self._down_heap, (ready_at, device))
+        self._down_until.set(device, ready_at)
         self.placer.mark_dirty(device)
         self.crashes.append(device)
         if self._obs.enabled:
             self._obs.event(
                 "serve.crash", category="serve", ts=self._now,
-                device=device, ready_at_us=ready_at,
-                injected=True,
+                device=device, ready_at_us=ready_at, **event,
             )
         if self._metrics.enabled:
             self._metrics.counter("serve", "crashes").inc()
+        return ready_at
 
     def _handle_worker_failure(self, device: str, leftover: List[Request]) -> None:
         """Abandon the worker and re-queue admitted-but-unfinished work."""
@@ -1093,20 +1080,6 @@ class ServingSystem:
             else:
                 self._place(request)
 
-    def _process_recoveries(self) -> None:
-        heap = self._down_heap
-        recovered: List[str] = []
-        while heap and heap[0][0] <= self._now:
-            until, device = heapq.heappop(heap)
-            if self._down_until.get(device) == until:
-                del self._down_until[device]
-                recovered.append(device)
-        if not recovered:
-            return
-        for device in recovered:
-            self.placer.mark_dirty(device)
-        self._replace_parked()
-
     # -- reporting ---------------------------------------------------------
     def _device_seconds(self) -> float:
         """Fleet-on simulated seconds: live intervals summed per device.
@@ -1116,10 +1089,7 @@ class ServingSystem:
         kept each device live (booting/draining time counts as live — the
         device is powered while the mOS loads and the drain finishes)."""
         if self._fleet is None:
-            gpus = sum(
-                1 for mos in self.system.moses.values() if mos.device_type == "gpu"
-            )
-            return gpus * self._now / 1e6
+            return len(self._gpus) * self._now / 1e6
         total = 0.0
         for device in sorted(set(self._device_live_us) | set(self._fleet_since)):
             total += self._device_live_us.get(device, 0.0)

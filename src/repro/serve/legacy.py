@@ -260,11 +260,10 @@ class LegacyServingSystem(ServingSystem):
         flush), so a replayed scale schedule renders identically here.
         """
         pending = sorted(arrivals, key=lambda r: (r.arrival_us, r.rid))
-        crash_queue = sorted(crash_events)
-        scale_queue = self._begin_run(scale_events)
+        scale_queue, crash_queue = self._begin_run(scale_events, crash_events)
         ai = ci = si = 0
         while True:
-            self._more_arrivals = ai < len(pending)
+            more_arrivals = ai < len(pending)
             events: List[Tuple[float, int]] = []
             if self._down_until:
                 events.append((min(self._down_until.values()), 0))
@@ -280,7 +279,7 @@ class LegacyServingSystem(ServingSystem):
                     events.append((min(self._boot_at.values()), 4))
                 if self._park_at:
                     events.append((min(self._park_at.values()), 5))
-                if self._next_tick_us is not None and self._more_arrivals:
+                if self._next_tick_us is not None and more_arrivals:
                     events.append((self._next_tick_us, 6))
             if si < len(scale_queue):
                 events.append((scale_queue[si][0], 7))
@@ -294,7 +293,7 @@ class LegacyServingSystem(ServingSystem):
                     _, action, device = scale_queue[si]
                     self._apply_scale(self._now, action, device)
                     si += 1
-                self._process_tick()
+                self._process_tick(more_arrivals)
             while ai < len(pending) and pending[ai].arrival_us <= self._now:
                 self.offer(pending[ai])
                 ai += 1

@@ -30,15 +30,15 @@ inference frontend for the :mod:`repro.workloads.llm` workload:
 
 Time follows the frontend's dual-time doctrine: the engine runs a
 virtual event timeline (arrivals, iteration boundaries, crashes,
-recoveries) that all SLO metrics use, while the platform clock keeps
-metering the real execution costs of the sRPC/KV machinery underneath.
+recoveries) on the :mod:`repro.sim.events` kernel that all SLO metrics
+use, while the platform clock keeps metering the real execution costs of
+the sRPC/KV machinery underneath.
 Virtual durations come from :class:`~repro.workloads.llm.LLMCostModel`,
 calibrated against the same GPU constants as the kernel timing model.
 """
 
 from __future__ import annotations
 
-import heapq
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -56,10 +56,12 @@ from repro.serve.batcher import ContinuousBatcher, MODE_CONTINUOUS
 from repro.serve.placement import SpatialPlacer
 from repro.serve.slo import SLOTracker
 from repro.serve.tenants import Tenant, TenantRegistry, TenantSpec
+from repro.sim.events import EventKernel, Schedule, Source, Timers
 from repro.workloads.llm import LLMConfig, LLMCostModel, PagedKVCache
 
 _DATACLASS_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 _ARRIVAL_ORDER = attrgetter("arrival_us", "rid")
+_ARRIVAL_TIME = attrgetter("arrival_us")
 
 #: Stream id token records ride on (stream 0 carries the cuda* mecalls).
 TOKEN_STREAM = 1
@@ -325,7 +327,7 @@ class LLMReport:
         return out
 
 
-class LLMEngine:
+class LLMEngine(EventKernel):
     """Token-granular serving frontend over a CronusSystem."""
 
     def __init__(
@@ -352,15 +354,14 @@ class LLMEngine:
         self._caches: Dict[str, PagedKVCache] = {}
         self._streamers: Dict[str, _TokenStreamer] = {}
         self._sequences: Dict[str, SequenceState] = {}
-        self._step_end: Dict[str, float] = {}
-        self._step_heap: List[Tuple[float, str]] = []
-        self._down_until: Dict[str, float] = {}
-        self._down_heap: List[Tuple[float, str]] = []
+        self._step_end = Timers()
+        """device -> end of its in-flight decode iteration."""
+        self._down_until = Timers()
+        """device -> end of its partition's recovery window."""
         self._parked: List[SequenceState] = []
         self._admitted: Set[str] = set()
         self._completed: Dict[str, float] = {}
         self._expired: Set[str] = set()
-        self._now = 0.0
         self.crashes: List[str] = []
         self.scrub_violations = 0
         self.iterations = 0
@@ -371,7 +372,6 @@ class LLMEngine:
         # -- telemetry pipeline (inert when None) --------------------------
         self.telemetry = telemetry
         self._tel_source = None
-        self._next_scrape_us: Optional[float] = None
         if telemetry is not None:
             self._tel_source = telemetry.attach(
                 system, slo=self.slo, extra=self._telemetry_extra
@@ -396,14 +396,6 @@ class LLMEngine:
                 sum(c.leaked_blocks for c in self._caches.values())
             ),
         }
-
-    def _process_scrape(self) -> None:
-        if self.telemetry is None or self._next_scrape_us is None:
-            return
-        interval = self.telemetry.scrape_interval_us
-        while self._next_scrape_us <= self._now:
-            self.telemetry.scrape(self._next_scrape_us)
-            self._next_scrape_us += interval
 
     # -- per-device state --------------------------------------------------
     def _cache(self, device: str) -> PagedKVCache:
@@ -498,9 +490,7 @@ class LLMEngine:
         duration = prefill_us + self.cost.decode_step_us(
             [s.context_len for s in running]
         )
-        end = self._now + duration
-        self._step_end[device] = end
-        heapq.heappush(self._step_heap, (end, device))
+        self._step_end.set(device, self._now + duration)
         if self._metrics.enabled:
             self._metrics.histogram("llm", "iteration_us").observe(duration)
 
@@ -524,9 +514,13 @@ class LLMEngine:
             if self._metrics.enabled:
                 self._metrics.counter("llm", "reprefills").inc()
 
+    def _end_iterations(self, now: float) -> None:
+        """Fire every decode boundary due by ``now``, earliest first."""
+        while (device := self._step_end.pop_due(now)) is not None:
+            self._finish_iteration(device)
+
     def _finish_iteration(self, device: str) -> None:
         """One decode boundary: every resident sequence emits one token."""
-        del self._step_end[device]
         if _faults.ACTIVE is not None:
             partition = self.system.spm.partition_for_device(device)
             restarts = partition.restarts
@@ -614,8 +608,7 @@ class LLMEngine:
                 victim_pages.extend(cache.pages_of(rid))
         rec = self.system.fail_partition(device, background=True)
         ready_at = self._now + rec.total_us
-        self._down_until[device] = ready_at
-        heapq.heappush(self._down_heap, (ready_at, device))
+        self._down_until.set(device, ready_at)
         self.crashes.append(device)
         self.placer.mark_dirty(device)
         self._step_end.pop(device, None)  # the in-flight iteration died
@@ -659,18 +652,15 @@ class LLMEngine:
             self._place(sequence)
         return ready_at
 
-    def _process_recoveries(self) -> None:
-        heap = self._down_heap
+    def _recover(self, now: float) -> None:
+        """Bring up the partitions whose recovery window closed by ``now``:
+        re-place parked sequences, then restart the devices' iterations."""
         recovered: List[str] = []
-        while heap and heap[0][0] <= self._now:
-            until, device = heapq.heappop(heap)
-            if self._down_until.get(device) == until:
-                del self._down_until[device]
-                recovered.append(device)
+        while (device := self._down_until.pop_due(now)) is not None:
+            self.placer.mark_dirty(device)
+            recovered.append(device)
         if not recovered:
             return
-        for device in recovered:
-            self.placer.mark_dirty(device)
         if self._parked:
             parked, self._parked = self._parked, []
             for sequence in parked:
@@ -678,47 +668,9 @@ class LLMEngine:
         for device in recovered:
             self._start_iteration(device)
 
-    # -- the event loop ----------------------------------------------------
-    def run(
-        self,
-        arrivals: Iterable[LLMRequest],
-        *,
-        crash_events: Sequence[Tuple[float, str]] = (),
-    ) -> LLMReport:
-        """Serve an open-loop sequence stream to completion.
-
-        ``crash_events`` is a list of ``(time_us, device)`` partition
-        crashes injected mid-decode.  Event phases at one instant follow
-        the frontend's fixed order: recoveries → iteration boundaries →
-        arrivals → crashes.
-        """
-        pending = sorted(arrivals, key=_ARRIVAL_ORDER)
-        crash_queue = sorted(crash_events)
-        if self.telemetry is not None:
-            self._next_scrape_us = self._now + self.telemetry.scrape_interval_us
-        ai = ci = 0
-        n_pending, n_crash = len(pending), len(crash_queue)
-        while True:
-            now = self._next_event_time(pending, ai, crash_queue, ci)
-            if now is None:
-                break
-            if now > self._now:
-                self._now = now
-            self._process_recoveries()
-            step_heap = self._step_heap
-            while step_heap and step_heap[0][0] <= self._now:
-                end, device = heapq.heappop(step_heap)
-                if self._step_end.get(device) == end:
-                    self._finish_iteration(device)
-            while ai < n_pending and pending[ai].arrival_us <= self._now:
-                self.offer(pending[ai])
-                ai += 1
-            while ci < n_crash and crash_queue[ci][0] <= self._now:
-                self.crash_device(crash_queue[ci][1])
-                ci += 1
-            self._process_scrape()
-        # Parked sequences with no recovery pending can never decode
-        # (every partition they may use is gone): report them expired.
+    def _expire_parked(self) -> None:
+        """Parked sequences with no recovery pending can never decode
+        (every partition they may use is gone): report them expired."""
         for sequence in self._parked:
             request = sequence.request
             self._expired.add(request.rid)
@@ -734,47 +686,39 @@ class LLMEngine:
                     tenant=request.tenant,
                 )
         self._parked.clear()
-        if self.telemetry is not None:
-            self.telemetry.scrape(self._now)
-            self._next_scrape_us = None
-        return self.report()
 
-    def _next_event_time(
+    # -- the event loop ----------------------------------------------------
+    def run(
         self,
-        pending: Sequence[LLMRequest],
-        ai: int,
-        crash_queue: Sequence[Tuple[float, str]],
-        ci: int,
-    ) -> Optional[float]:
-        t: Optional[float] = None
-        heap = self._down_heap
-        while heap:
-            until, device = heap[0]
-            if self._down_until.get(device) == until:
-                t = until
-                break
-            heapq.heappop(heap)
-        step_heap = self._step_heap
-        while step_heap:
-            end, device = step_heap[0]
-            if self._step_end.get(device) == end:
-                if t is None or end < t:
-                    t = end
-                break
-            heapq.heappop(step_heap)
-        if ai < len(pending):
-            arrival = pending[ai].arrival_us
-            if t is None or arrival < t:
-                t = arrival
-        if ci < len(crash_queue):
-            crash = crash_queue[ci][0]
-            if t is None or crash < t:
-                t = crash
-        # Scrapes subdivide waits; they never extend the makespan.
-        scrape = self._next_scrape_us
-        if scrape is not None and t is not None and scrape < t:
-            t = scrape
-        return t
+        arrivals: Iterable[LLMRequest],
+        *,
+        crash_events: Sequence[Tuple[float, str]] = (),
+    ) -> LLMReport:
+        """Serve an open-loop sequence stream to completion.
+
+        ``crash_events`` is a list of ``(time_us, device)`` partition
+        crashes injected mid-decode; the phases run on
+        :mod:`repro.sim.events`.
+        """
+        crash_queue = sorted(crash_events)
+        for t_us, device in crash_queue:
+            if device not in self.system.moses:
+                raise LLMServingError(
+                    f"crash event at {t_us} names device {device!r}, "
+                    "which no partition manages"
+                )
+        pending = sorted(arrivals, key=_ARRIVAL_ORDER)
+        self._run_events(
+            [
+                Source(self._down_until.peek, self._recover),
+                Source(self._step_end.peek, self._end_iterations),
+                Schedule(pending, self.offer, at=_ARRIVAL_TIME),
+                Schedule(crash_queue, lambda event: self.crash_device(event[1])),
+            ],
+            telemetry=self.telemetry,
+            drain=self._expire_parked,
+        )
+        return self.report()
 
     # -- reporting ---------------------------------------------------------
     def report(self) -> LLMReport:

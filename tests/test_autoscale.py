@@ -377,7 +377,5 @@ def test_effective_depth_drains_with_virtual_time():
     # mid-flight backlog is allowed at run end; once the clock passes the
     # last completion the backlog term collapses back to the (empty)
     # pending queue on every device.
-    serving._now = max(report.completed.values()) + 1.0
-    for device in list(serving._workers):
-        assert serving._effective_depth(device) == 0
-        assert not serving._inflight.get(device)
+    serving.advance_to(max(report.completed.values()) + 1.0)
+    assert serving.backlog() == 0

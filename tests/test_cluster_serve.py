@@ -13,7 +13,9 @@ from repro.cluster import (
     request_image,
 )
 from repro.serve.admission import Request
+from repro.serve.frontend import ServingSystem
 from repro.serve.loadgen import LoadProfile, generate_trace, synthetic_service_model
+from repro.systems import CronusSystem, TestbedConfig
 
 
 def small_trace(requests=400, tenants=8, rate=60_000.0, deadline=80_000.0):
@@ -111,7 +113,7 @@ class TestClusterServing:
         assert serving.router.steals == 0
         for ns in serving._states.values():
             # every rid admitted on a node belongs to a tenant homed there
-            for rid in ns.serving._admitted:
+            for rid in ns.serving.report().admitted:
                 tenant = rid.rsplit("-", 1)[0]
                 home = serving.router.home(
                     tenant, sorted(serving._states)
@@ -210,3 +212,46 @@ class TestNodeKillMigration:
         table = report.node_table()
         assert "dead" in table
         assert "node1" in table
+
+
+class TestSingleNodeOracle:
+    """The cluster's differential oracle: with one node there is nothing
+    to route, steal or migrate, so a 1-node cluster must serve a trace
+    exactly as a bare single-node ``ServingSystem`` does.  Migration is
+    off because tenant sessions pin SPM pages, which lengthens the crash
+    scrub and so the recovery window."""
+
+    GPUS = 2
+
+    def serve_both(self, crash_events=()):
+        specs, requests = small_trace(requests=600, rate=120_000.0)
+        batching = dict(max_batch=8, max_delay_us=2_000.0)
+        bare = ServingSystem(
+            CronusSystem(TestbedConfig(num_gpus=self.GPUS)),
+            service_model=synthetic_service_model(),
+            **batching,
+        )
+        for spec in specs:
+            bare.add_tenant(spec)
+        bare_report = bare.run(
+            requests, crash_events=[(t, device) for t, _, device in crash_events]
+        )
+        cluster = build(1, gpus=self.GPUS, migration=False, **batching)
+        cluster.add_tenants(specs)
+        report = cluster.run(requests, crash_events=crash_events)
+        return bare_report, report
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["no-crash", "crash"])
+    def test_one_node_cluster_matches_bare_engine(self, crash):
+        crash_events = [(2_500.0, "node0", "gpu0")] if crash else []
+        bare, report = self.serve_both(crash_events)
+        node = report.per_node["node0"]
+        assert list(node.completed) == list(bare.completed)
+        assert node.completed == bare.completed
+        assert node.fingerprint == bare.fingerprint
+        assert report.slo_text == bare.slo_text
+        assert node.crashes == bare.crashes == (("gpu0",) if crash else ())
+        assert bare.audit_exactly_once() == []
+        assert report.audit_exactly_once() == []
+        assert report.makespan_us == bare.makespan_us
+        assert len(bare.completed) > 0
