@@ -113,9 +113,16 @@ def _loss_accounting(report):
 
 
 def run_point(nodes, specs, requests, *, kill_at_us=None, label=None):
-    """One measured cluster run; returns (row, report)."""
+    """One measured cluster run; returns (row, report).
+
+    ``setup_wall_s`` (boot, mesh attestation, tenant registration) is
+    timed apart from ``wall_s`` (serving the trace).  Signature checks are
+    memoized per process, so rows after the first find the mesh's
+    certificates already verified."""
+    t0 = time.perf_counter()
     serving = build_serving(nodes)
     serving.add_tenants(specs)
+    setup_wall_s = time.perf_counter() - t0
     kills = [(kill_at_us, KILLED_NODE)] if kill_at_us is not None else []
     t0 = time.perf_counter()
     report = serving.run(requests, node_kill_events=kills)
@@ -128,6 +135,7 @@ def run_point(nodes, specs, requests, *, kill_at_us=None, label=None):
     row = {
         "nodes": nodes,
         "devices": nodes * GPUS_PER_NODE,
+        "setup_wall_s": round(setup_wall_s, 4),
         "wall_s": round(wall_s, 4),
         "makespan_us": round(report.makespan_us, 3),
         "completed": report.completed_total,
@@ -243,7 +251,8 @@ def run_bench(*, smoke=False, log=print):
         log(
             f"  {nodes:>2} node(s): {row['deadline_met']:>7,} deadline-met in "
             f"{row['makespan_us'] / 1e6:6.3f}s sim "
-            f"({row['throughput_rps']:>10,.0f} rps, {row['wall_s']:.1f}s wall)"
+            f"({row['throughput_rps']:>10,.0f} rps, {row['wall_s']:.1f}s wall, "
+            f"{row['setup_wall_s']:.3f}s setup)"
         )
     low, high = rows[0], rows[-1]
     scaling = {

@@ -44,7 +44,8 @@ document's ``schema`` tag:
 
 * the envelope (schema tag, config, rows, scaling, failover, replay,
   workflow) with required keys and sane types;
-* every scale row carries positive throughput numbers and a 64-hex
+* every scale row carries positive throughput numbers, a positive
+  ``setup_wall_s`` (cluster build + tenant registration) and a 64-hex
   cluster fingerprint;
 * the scaling ratio honours its recorded floor (and a full-mode floor
   must be >= the 4x acceptance bar);
@@ -477,6 +478,7 @@ CLUSTER_SCHEMA = "cronus.bench_cluster/v1"
 CLUSTER_ROW_FIELDS = {
     "nodes": int,
     "devices": int,
+    "setup_wall_s": (int, float),
     "wall_s": (int, float),
     "makespan_us": (int, float),
     "completed": int,
@@ -560,7 +562,8 @@ def validate_cluster(doc) -> list:
             continue
         if not _is_fingerprint(row.get("fingerprint")):
             failures.append(f"{where}: fingerprint is not 64 hex chars")
-        for key in ("nodes", "wall_s", "makespan_us", "throughput_rps"):
+        for key in ("nodes", "setup_wall_s", "wall_s", "makespan_us",
+                    "throughput_rps"):
             value = row.get(key)
             if isinstance(value, (int, float)) and value <= 0:
                 failures.append(f"{where}: {key} must be positive, got {value}")

@@ -32,6 +32,9 @@ class ClusterNode:
         self.gpus = gpus
         self.alive = True
         self.attested = False
+        # The node's verifying side, provisioned once with its trust
+        # anchors when the machine joins (the out-of-band step).
+        self.client = RemoteClient.for_system(self.system)
 
     def gpu_devices(self) -> List[str]:
         """The node's GPU device names, sorted (deterministic)."""
@@ -92,28 +95,31 @@ class Cluster:
     def attest_mesh(self) -> int:
         """Every node verifies every other node's platform report.
 
-        Each verification charges one network round trip on the verifying
-        node (report + response).  Returns the number of verifications.
-        A node failing verification is expelled (marked not attested).
+        Each verifier checks against the trust anchors it was provisioned
+        with, never the ones the target presents.  Each successful
+        verification charges one network round trip on the verifying node
+        (report + response).  A node is attested iff every alive peer
+        verified it (a lone node is trivially attested); any other node is
+        expelled.  Returns the number of successful verifications.
         """
+        alive = [node for node in self.nodes if node.alive]
+        rejected = set()
         verifications = 0
-        for verifier in self.nodes:
-            if not verifier.alive:
-                continue
-            for target in self.nodes:
-                if target is verifier or not target.alive:
+        for verifier in alive:
+            for target in alive:
+                if target is verifier:
                     continue
-                client = RemoteClient.for_system(target.system)
                 try:
-                    client.verify(target.system.attest_platform(), target.device_certs())
+                    verifier.client.verify(
+                        target.system.attest_platform(), target.device_certs()
+                    )
                 except AttestationError:
-                    target.attested = False
+                    rejected.add(target.name)
                     continue
                 verifier.system.clock.advance(self.costs.network_rtt_us)
                 verifications += 1
-        for node in self.nodes:
-            if node.alive:
-                node.attested = True
+        for node in alive:
+            node.attested = node.name not in rejected
         return verifications
 
     # -- membership / placement ------------------------------------------------

@@ -1,9 +1,40 @@
 """The section VII-C distributed extension: mesh attestation, scheduling,
 cross-node training, node-failure rescheduling."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.cluster import Cluster, ClusterError, distributed_train
+from repro.cluster import Cluster, ClusterError, ClusterServingSystem, distributed_train
+from repro.crypto import CertificateAuthority
+from repro.crypto.keys import Signature
+
+
+def _forge_report_signature(node):
+    """Make ``node`` present platform reports with a forged signature."""
+    honest = node.system.attest_platform
+
+    def forged():
+        report = honest()
+        sig = report.signature
+        return replace(report, signature=Signature(sig.e, sig.s ^ 2))
+
+    node.system.attest_platform = forged
+
+
+def _endorse_by_rogue_service(node):
+    """Give ``node`` its own attestation service and have it re-endorse
+    the node's AtK, so the node vouches for itself."""
+    rogue = CertificateAuthority("attestation-service", b"rogue-attestation-service")
+    node.system.platform.attestation_service = rogue
+    honest = node.system.attest_platform
+
+    def self_endorsed():
+        report = honest()
+        cert = rogue.endorse("AtK", report.atk_certificate.subject)
+        return replace(report, atk_certificate=cert)
+
+    node.system.attest_platform = self_endorsed
 
 
 class TestClusterMesh:
@@ -34,6 +65,50 @@ class TestClusterMesh:
         cluster.attest_mesh()
         after = [n.system.clock.now for n in cluster.nodes]
         assert all(b < a for b, a in zip(before, after))
+
+    def test_attestation_clocks_match_golden(self):
+        """Simulated cost of the 8-node mesh, recorded before the host-side
+        signature memo: each node's report and round trips still cost the
+        same virtual time."""
+        cluster = Cluster(num_nodes=8, gpus_per_node=2)
+        assert cluster.attest_mesh() == 8 * 7
+        assert [n.system.clock.now for n in cluster.nodes] == [721400.0] * 8
+
+    def test_lone_node_is_attested(self):
+        cluster = Cluster(num_nodes=1)
+        assert cluster.attest_mesh() == 0
+        assert cluster.attested_nodes() == cluster.nodes
+
+    def test_forged_report_expels_only_that_node(self):
+        cluster = Cluster(num_nodes=3)
+        _forge_report_signature(cluster.node("node2"))
+        assert cluster.attest_mesh() == 3 * 2 - 2  # nobody verified node2
+        assert [n.name for n in cluster.attested_nodes()] == ["node0", "node1"]
+        serving = ClusterServingSystem(cluster)
+        assert serving.node_state("node0").node is cluster.node("node0")
+        assert serving.node_state("node1").node is cluster.node("node1")
+        with pytest.raises(KeyError):
+            serving.node_state("node2")
+
+    def test_reattestation_readmits_a_repaired_node(self):
+        cluster = Cluster(num_nodes=2)
+        node = cluster.node("node1")
+        honest = node.system.attest_platform
+        _forge_report_signature(node)
+        cluster.attest_mesh()
+        assert not node.attested
+        node.system.attest_platform = honest
+        cluster.attest_mesh()
+        assert node.attested
+
+    def test_verifier_uses_its_own_anchors(self):
+        """A node cannot supply the anchor it is checked against: an AtK
+        endorsed by a rogue attestation service is rejected by every
+        peer, while the rogue node's own (provisioned) checks still pass."""
+        cluster = Cluster(num_nodes=3)
+        _endorse_by_rogue_service(cluster.node("node2"))
+        assert cluster.attest_mesh() == 3 * 2 - 2
+        assert [n.name for n in cluster.attested_nodes()] == ["node0", "node1"]
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ClusterError):
