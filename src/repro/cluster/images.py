@@ -28,6 +28,8 @@ class ImageRegistry:
 
     def __init__(self) -> None:
         self._replicas: Dict[str, Set[str]] = {}
+        self.version = 0
+        """Bumped by every mutation, so readers can cache replica sets."""
 
     def register(self, image_id: str, nodes: Iterable[str]) -> None:
         """(Re)place an image on exactly ``nodes``."""
@@ -35,6 +37,7 @@ class ImageRegistry:
         if not node_set:
             raise ImageError(f"image {image_id!r} needs at least one replica")
         self._replicas[image_id] = node_set
+        self.version += 1
 
     def replicate(self, image_id: str, node: str) -> None:
         """Add one replica (idempotent)."""
@@ -42,6 +45,7 @@ class ImageRegistry:
             self._replicas[image_id].add(node)
         except KeyError:
             raise ImageError(f"no image {image_id!r} registered") from None
+        self.version += 1
 
     def drop_node(self, node: str) -> None:
         """A node died: remove it from every replica set.  Sets may drain
@@ -49,6 +53,7 @@ class ImageRegistry:
         as an explicit rejection rather than an error here."""
         for replicas in self._replicas.values():
             replicas.discard(node)
+        self.version += 1
 
     def holds(self, image_id: str, node: str) -> bool:
         return node in self._replicas.get(image_id, ())

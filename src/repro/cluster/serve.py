@@ -26,19 +26,22 @@ Node-crash failover: a node kill harvests every admitted-but-unfinished
 request on the corpse, fails its partitions (the SPM panic scrub runs),
 **byte-audits** the migrated tenants' session pages as zero, then drives
 :class:`~repro.cluster.migrate.MigrationManager` checkpoint/restore onto
-surviving nodes; the harvested requests are re-delivered to the restore
-target after the sealed blob's simulated network transfer.  The
+surviving nodes that hold the requests' images; the harvested requests
+are re-delivered there after the sealed blob's simulated network
+transfer.  The
 cluster-level exactly-once audit closes over *all* nodes, so a migrated
 rid completing on two machines, or on none, is a reported violation.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cluster.cluster import Cluster, ClusterError, ClusterNode
 from repro.cluster.images import ImageRegistry
@@ -48,7 +51,7 @@ from repro.serve.admission import Request
 from repro.serve.frontend import ServingReport, ServingSystem
 from repro.serve.slo import SLOTracker
 from repro.serve.tenants import TenantSpec
-from repro.sim.events import EventKernel, Schedule, Source
+from repro.sim.events import EventKernel, Schedule, Source, Timers
 
 _ARRIVAL_ORDER = attrgetter("arrival_us", "rid")
 _ARRIVAL_TIME = attrgetter("arrival_us")
@@ -56,14 +59,19 @@ _ARRIVAL_TIME = attrgetter("arrival_us")
 #: Rejection recorded when no alive node holds the request's image.
 REJECT_NO_IMAGE = "no-image-replica"
 
+#: Bound on the memoized ``(key, node)`` rendezvous scores.
+SCORE_MEMO_CAP = 1 << 14
+
 
 def request_image(request: Request) -> str:
     """The enclave image a serving request needs (``kernel:<kind>``)."""
     return f"kernel:{request.kind}"
 
 
+@functools.lru_cache(maxsize=SCORE_MEMO_CAP)
 def rendezvous_score(key: str, node: str) -> int:
-    """Deterministic HRW weight of ``key`` on ``node``."""
+    """Deterministic HRW weight of ``key`` on ``node``.  Memoized: the
+    score is a pure function of two public strings."""
     digest = hashlib.sha256(f"{key}|{node}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -91,22 +99,44 @@ class ClusterRouter:
 
     def home(self, key: str, candidates: Sequence[str]) -> str:
         """The HRW winner among ``candidates`` (must be non-empty)."""
-        return max(candidates, key=lambda n: (rendezvous_score(key, n), n))
+        scores = map(rendezvous_score, repeat(key), candidates)
+        return max(zip(scores, candidates))[1]
 
     def route(
-        self, key: str, candidates: Sequence[str], backlog: Dict[str, int]
+        self, key: str, candidates: Sequence[str], backlog: Mapping[str, int]
     ) -> str:
         """Home node, unless its backlog is ``steal_threshold`` over the
         least-loaded candidate — then the least-loaded candidate steals
-        (ties break by name: ``backlog`` keys iterate sorted)."""
+        (ties break by name).  Backlogs are non-negative counts, so a home
+        at or under the threshold keeps the request and the other
+        candidates' backlogs are not read."""
         home = self.home(key, candidates)
         if len(candidates) == 1:
             return home
-        coolest = min(candidates, key=lambda n: (backlog[n], n))
-        if backlog[home] - backlog[coolest] > self.steal_threshold:
+        home_backlog = backlog[home]
+        if home_backlog <= self.steal_threshold:
+            return home
+        coolest_backlog, coolest = min(
+            zip(map(backlog.__getitem__, candidates), candidates)
+        )
+        if home_backlog - coolest_backlog > self.steal_threshold:
             self.steals += 1
             return coolest
         return home
+
+
+class _Backlogs(dict):
+    """node name -> backlog, read from the node on first lookup."""
+
+    __slots__ = ("_states",)
+
+    def __init__(self, states: Dict[str, _NodeState]) -> None:
+        super().__init__()
+        self._states = states
+
+    def __missing__(self, name: str) -> int:
+        value = self[name] = self._states[name].serving.backlog()
+        return value
 
 
 @dataclass
@@ -265,15 +295,31 @@ class ClusterServingSystem(EventKernel):
         self.orphaned = 0
         self._pending_migrations: List[Tuple[float, int, str, Request]] = []
         self._migration_seq = 0
+        self._order = {
+            name: i
+            for i, name in enumerate(n.name for n in cluster if n.name in self._states)
+        }
+        """node name -> its slot in the cluster's iteration order."""
+        self._alive_cache: Optional[List[_NodeState]] = None
+        self._candidate_cache: Dict[str, List[str]] = {}
+        self._candidate_version: Optional[int] = None
+        """The ``ImageRegistry.version`` the candidate cache was built at."""
+        self._node_next = Timers()
+        """alive node -> its ``next_event_time()``, exact for clean nodes."""
+        self._dirty: Set[str] = set()
+        """Alive nodes touched since the last peek: their cached next-event
+        time is stale, and the flush phase visits them."""
 
     # -- membership --------------------------------------------------------
     def _alive(self) -> List[_NodeState]:
-        """Alive node states, cluster iteration order (deterministic)."""
-        return [
-            self._states[n.name]
-            for n in self.cluster
-            if n.name in self._states and self._states[n.name].alive
-        ]
+        """Alive node states, cluster iteration order (deterministic).
+        Cached until a node dies; callers must not mutate the list."""
+        alive = self._alive_cache
+        if alive is None:
+            alive = self._alive_cache = [
+                self._states[name] for name in self._order if self._states[name].alive
+            ]
+        return alive
 
     def node_state(self, name: str) -> _NodeState:
         return self._states[name]
@@ -305,28 +351,37 @@ class ClusterServingSystem(EventKernel):
 
     # -- routing -----------------------------------------------------------
     def _candidates(self, image: str) -> List[str]:
-        return [
-            name for name in self.images.nodes_for(image)
-            if name in self._states and self._states[name].alive
-        ]
+        """Alive nodes holding ``image``, sorted.  Cached per image until
+        the registry mutates (its ``version`` moves) or a node dies;
+        callers must not mutate the list."""
+        if self._candidate_version != self.images.version:
+            self._candidate_cache.clear()
+            self._candidate_version = self.images.version
+        candidates = self._candidate_cache.get(image)
+        if candidates is None:
+            candidates = self._candidate_cache[image] = [
+                name for name in self.images.nodes_for(image)
+                if name in self._states and self._states[name].alive
+            ]
+        return candidates
 
     def route(self, request: Request) -> Optional[str]:
         """The node this request lands on, or None if unroutable."""
         candidates = self._candidates(request_image(request))
         if not candidates:
             return None
-        backlog = {
-            name: self._states[name].serving.backlog() for name in sorted(candidates)
-        }
-        return self.router.route(request.tenant, candidates, backlog)
+        return self.router.route(request.tenant, candidates, _Backlogs(self._states))
+
+    def _unroutable(self, request: Request) -> None:
+        self.unroutable += 1
+        self._routing_digest.update(f"{request.rid}>!\n".encode())
 
     def offer(self, request: Request) -> Optional[str]:
         """Route + offer one request at its arrival instant; returns the
         serving node's name (None = no image replica alive)."""
         target = self.route(request)
         if target is None:
-            self.unroutable += 1
-            self._routing_digest.update(f"{request.rid}>!\n".encode())
+            self._unroutable(request)
             return None
         ns = self._states[target]
         if self.migration is not None:
@@ -334,6 +389,7 @@ class ClusterServingSystem(EventKernel):
         ns.routed += 1
         self._routing_digest.update(f"{request.rid}>{target}\n".encode())
         ns.serving.offer(request)
+        self._dirty.add(target)
         return target
 
     # -- node-crash failover -----------------------------------------------
@@ -363,8 +419,11 @@ class ClusterServingSystem(EventKernel):
         if self.migration is not None:
             self.migration.audit_scrub(ns.node)
         ns.alive = False
+        self._alive_cache = None
+        self._node_next.pop(name, None)
+        self._dirty.discard(name)
         ns.node.fail()
-        self.images.drop_node(name)
+        self.images.drop_node(name)  # bumps images.version: candidates recompute
         self.node_kills.append((self._now, name))
         obs = ns.node.system.platform.obs
         if obs.enabled:
@@ -381,30 +440,39 @@ class ClusterServingSystem(EventKernel):
             if self.telemetry is not None:
                 self.telemetry.node_killed(self._now, name)
             return unfinished
-        survivor_names = [s.name for s in survivors]
         by_tenant: Dict[str, List[Request]] = {}
         for request in unfinished:
             by_tenant.setdefault(request.tenant, []).append(request)
         for tenant in sorted(by_tenant):
-            target_name = self.router.home(tenant, survivor_names)
+            # Each request moves to its tenant's rendezvous home among the
+            # survivors holding its image, the rule routing uses; with no
+            # such survivor it is unroutable.
+            targets: List[Tuple[str, Request]] = []
+            for request in by_tenant[tenant]:
+                target = self._migration_target(request)
+                if target is None:
+                    self._unroutable(request)
+                else:
+                    targets.append((target, request))
+            if not targets:
+                continue
             delay = self.cluster.costs.network_rtt_us
             if self.migration is not None:
                 session = self.migration.session(tenant)
                 if session is not None and session.node == name:
                     # The tenant's enclave state was on the corpse:
-                    # checkpoint-restore onto the rendezvous survivor.
-                    record = self.migration.restore(
-                        self._states[target_name].node, tenant, self._now
+                    # checkpoint-restore onto its first request's target.
+                    self.migration.restore(
+                        self._states[targets[0][0]].node, tenant, self._now
                     )
                     delay = self.migration_delay_us(
                         self.migration.blob_bytes(tenant)
                     )
-                    del record
-            for request in by_tenant[tenant]:
+            for target, request in targets:
                 self._migration_seq += 1
                 heapq.heappush(
                     self._pending_migrations,
-                    (self._now + delay, self._migration_seq, target_name, request),
+                    (self._now + delay, self._migration_seq, target, request),
                 )
         if self.migration is not None:
             # Sessions of idle tenants died with the node; a later arrival
@@ -416,6 +484,12 @@ class ClusterServingSystem(EventKernel):
             # the corpse's scrub spans up to the migration hand-off.
             self.telemetry.node_killed(self._now, name)
         return unfinished
+
+    def _migration_target(self, request: Request) -> Optional[str]:
+        """The rendezvous home of a migrated request among the alive nodes
+        holding its image (no stealing: the backlog moves as one)."""
+        candidates = self._candidates(request_image(request))
+        return self.router.home(request.tenant, candidates) if candidates else None
 
     def _next_migration(self) -> Optional[float]:
         heap = self._pending_migrations
@@ -431,38 +505,56 @@ class ClusterServingSystem(EventKernel):
                 # The restore target died in transit: re-route among the
                 # remaining survivors (no further delay — the blob is
                 # already off the first corpse).
-                survivors = self._alive()
-                if not survivors:
+                if not self._alive():
                     self.orphaned += 1
                     continue
-                ns = self._states[
-                    self.router.home(request.tenant, [s.name for s in survivors])
-                ]
+                target_name = self._migration_target(request)
+                if target_name is None:
+                    self._unroutable(request)
+                    continue
+                ns = self._states[target_name]
             self.migrated_requests += 1
             ns.serving.adopt(request)
+            self._dirty.add(target_name)
 
     # -- the cluster's event sources ---------------------------------------
+    # A node's next-event time only moves when the cluster touches the node
+    # (offer, adopt, crash, flush, a due recovery), so it is cached in
+    # ``_node_next`` and re-read only for the nodes ``_dirty`` names.
     def _next_node_event(self) -> Optional[float]:
-        t: Optional[float] = None
-        for ns in self._alive():
-            node_t = ns.serving.next_event_time()
-            if node_t is not None and (t is None or node_t < t):
-                t = node_t
-        return t
+        dirty, timers = self._dirty, self._node_next
+        if dirty:
+            for name in dirty:
+                t = self._states[name].serving.next_event_time()
+                if t is None:
+                    timers.pop(name, None)
+                elif timers.get(name) != t:
+                    timers.set(name, t)
+            dirty.clear()
+        return timers.peek() if timers else None
 
     def _advance_nodes(self, now: float) -> None:
         for ns in self._alive():
             ns.serving.advance_to(now)
+        # Nodes with a recovery or flush due now: their cached time is spent.
+        timers = self._node_next
+        while (name := timers.pop_due(now)) is not None:
+            self._dirty.add(name)
 
     def _flush_nodes(self, now: float) -> None:
-        for ns in self._alive():
-            ns.serving.flush_due(now)
+        # Due nodes joined ``_dirty`` in the first phase; a node that is
+        # neither touched nor due has nothing to flush.
+        dirty = self._dirty
+        if dirty:
+            for name in sorted(dirty, key=self._order.__getitem__):
+                self._states[name].serving.flush_due(now)
 
     def _crash(self, event: Tuple[float, str, str]) -> None:
         _, node, device = event
         ns = self._states.get(node)
         if ns is not None and ns.alive:
             ns.serving.crash_partition(device)
+            self._dirty.add(node)
 
     def _expire_parked(self) -> None:
         # Stream over: anything still parked on an alive node can never
@@ -493,6 +585,7 @@ class ClusterServingSystem(EventKernel):
             if device not in self.cluster.node(name).system.moses:
                 raise ClusterError(f"crash event at {t_us}: {name} has no {device!r}")
         pending = sorted(arrivals, key=_ARRIVAL_ORDER)
+        self._dirty.update(ns.name for ns in self._alive())
         self._run_events(
             [
                 Source(self._next_node_event, self._advance_nodes),
@@ -516,7 +609,7 @@ class ClusterServingSystem(EventKernel):
         from repro.obs.metric import MetricsRegistry
 
         registry = into if into is not None else MetricsRegistry(enabled=True)
-        for name in (n.name for n in self.cluster if n.name in self._states):
+        for name in self._order:
             collect_system_metrics(
                 self._states[name].node.system, node=name, into=registry
             )
@@ -524,7 +617,7 @@ class ClusterServingSystem(EventKernel):
 
     def _merged_slo(self) -> SLOTracker:
         merged = SLOTracker()
-        for ns in (self._states[n.name] for n in self.cluster if n.name in self._states):
+        for ns in map(self._states.__getitem__, self._order):
             for tenant, acct in sorted(ns.serving.slo.accounts().items()):
                 into = merged.account(tenant)
                 into.offered += acct.offered
@@ -546,9 +639,7 @@ class ClusterServingSystem(EventKernel):
         return merged
 
     def report(self) -> ClusterReport:
-        node_names = tuple(
-            n.name for n in self.cluster if n.name in self._states
-        )
+        node_names = tuple(self._order)
         per_node = {name: self._states[name].serving.report() for name in node_names}
         merged = self._merged_slo()
         slo_text = merged.table()

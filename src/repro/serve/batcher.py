@@ -86,6 +86,8 @@ class DeadlineBatcher:
         """(due_us, device) flush obligations; entries go stale when a
         queue flushes, evicts, or tightens its due time (lazy deletion)."""
         self._seq = 0
+        self.pending = 0
+        """Requests queued across every partition (the sum of ``depth``)."""
         self.batches_formed = 0
         self.requests_batched = 0
         self._live: Optional[Callable[[str], bool]] = None
@@ -119,6 +121,7 @@ class DeadlineBatcher:
             queue.edf, (request.deadline_us, request.rid, self._seq, request)
         )
         queue.order.append(request)
+        self.pending += 1
         if now_us < queue.oldest_us:
             queue.oldest_us = now_us
         if request.deadline_us < queue.min_deadline_us:
@@ -169,7 +172,10 @@ class DeadlineBatcher:
         """Drop and return a partition's pending requests (its partition
         crashed; the frontend re-queues them elsewhere)."""
         queue = self._queues.pop(device_name, None)
-        return list(queue.order) if queue is not None else []
+        if queue is None:
+            return []
+        self.pending -= len(queue.order)
+        return list(queue.order)
 
     def due_at(self, device_name: str) -> Optional[float]:
         """Earliest simulated time at which this partition's batch must
@@ -208,6 +214,7 @@ class DeadlineBatcher:
             return None
         edf = queue.edf
         requests = [heapq.heappop(edf)[3] for _ in range(len(edf))]
+        self.pending -= len(requests)
         self.batches_formed += 1
         self.requests_batched += len(requests)
         return Batch(

@@ -57,6 +57,7 @@ or is reported expired, never duplicated.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -300,6 +301,9 @@ class ServingSystem(EventKernel):
         """device -> completion instants of work already flushed to the
         worker but not yet finished at ``_now`` (appended in increasing
         order because ``_free_at`` is monotone per device)."""
+        self._unfinished: List[float] = []
+        """Min-heap of the same instants over every device, so ``backlog``
+        counts the still-executing work without visiting each device."""
         self._down_until = Timers()
         """device -> end of its partition's recovery window."""
         self._parked: List[Request] = []
@@ -348,9 +352,9 @@ class ServingSystem(EventKernel):
         self._fleet_since: Dict[str, float] = {}
         """device -> start of its current live interval (virtual us)."""
         self._device_live_us: Dict[str, float] = {}
-        self._boot_at: Dict[str, float] = {}
+        self._boot_at = Timers()
         """device -> virtual instant its boot completes (mirrors booting)."""
-        self._park_at: Dict[str, float] = {}
+        self._park_at = Timers()
         """device -> virtual instant its drain ends (mirrors draining)."""
         self._next_tick_us: Optional[float] = None
         self.initial_live: Tuple[str, ...] = ()
@@ -461,7 +465,7 @@ class ServingSystem(EventKernel):
         if self._fleet.get(device) != FLEET_PARKED:
             return
         self._fleet[device] = FLEET_BOOTING
-        self._boot_at[device] = t_us + self.boot_delay_us
+        self._boot_at.set(device, t_us + self.boot_delay_us)
         self._record_scale(t_us, SCALE_BOOT, device)
 
     def _finish_boot(self, device: str) -> None:
@@ -506,7 +510,7 @@ class ServingSystem(EventKernel):
                 ts=t_us, device=device,
             )
         self._flush(device, reason="drain")
-        self._park_at[device] = max(t_us, self._free_at.get(device, 0.0))
+        self._park_at.set(device, max(t_us, self._free_at.get(device, 0.0)))
 
     def _finish_park(self, device: str) -> None:
         """Drain complete: close the runtime and leave the fleet."""
@@ -528,25 +532,24 @@ class ServingSystem(EventKernel):
 
     def _fleet_timer_due(self) -> Optional[float]:
         """The earliest boot-completion or drain-park instant, or None."""
-        # The fleet is architecturally small (<= the SPM partition cap),
-        # so min() scans beat heap maintenance here.
-        return min((*self._boot_at.values(), *self._park_at.values()), default=None)
+        boot = self._boot_at.peek() if self._boot_at else None
+        park = self._park_at.peek() if self._park_at else None
+        if boot is None or (park is not None and park < boot):
+            return park
+        return boot
 
     def _process_fleet_timers(self) -> None:
         """Fire due boot-completions, then due parks (sorted by device,
         so same-instant transitions are deterministic on both engines)."""
-        if self._boot_at:
-            for device in sorted(
-                d for d, t in self._boot_at.items() if t <= self._now
-            ):
-                del self._boot_at[device]
-                self._finish_boot(device)
-        if self._park_at:
-            for device in sorted(
-                d for d, t in self._park_at.items() if t <= self._now
-            ):
-                del self._park_at[device]
-                self._finish_park(device)
+        for timers, finish in (
+            (self._boot_at, self._finish_boot), (self._park_at, self._finish_park),
+        ):
+            if timers:
+                due = []
+                while (device := timers.pop_due(self._now)) is not None:
+                    due.append(device)
+                for device in sorted(due):
+                    finish(device)
 
     def _process_tick(self, more_arrivals: bool) -> None:
         """Run one autoscaler evaluation if its grid instant has come;
@@ -797,12 +800,13 @@ class ServingSystem(EventKernel):
         first phase of an instant."""
         if t_us > self._now:
             self._now = t_us
-        recovered = False
-        while (device := self._down_until.pop_due(self._now)) is not None:
-            self.placer.mark_dirty(device)
-            recovered = True
-        if recovered:
-            self._replace_parked()
+        if self._down_until:
+            recovered = False
+            while (device := self._down_until.pop_due(self._now)) is not None:
+                self.placer.mark_dirty(device)
+                recovered = True
+            if recovered:
+                self._replace_parked()
         return self._now
 
     def next_event_time(self) -> Optional[float]:
@@ -823,11 +827,16 @@ class ServingSystem(EventKernel):
     def backlog(self) -> int:
         """Admitted work not finished at the current instant: the parked
         requests plus, on every GPU partition, the queued requests and the
-        flushed ones still executing."""
-        total = len(self._parked)
-        for device in self._gpus:
-            total += self._effective_depth(device)
-        return total
+        flushed ones still executing.  O(1) amortized: the batcher keeps
+        its queued total, and finished instants leave ``_unfinished`` once."""
+        return len(self._parked) + self.batcher.pending + self._still_executing()
+
+    def _still_executing(self) -> int:
+        """Flushed requests not finished at ``_now``; drops the finished."""
+        unfinished, now = self._unfinished, self._now
+        while unfinished and unfinished[0] <= now:
+            heapq.heappop(unfinished)
+        return len(unfinished)
 
     def harvest(self) -> List[Request]:
         """The machine died: take every admitted-but-unfinished request
@@ -882,6 +891,8 @@ class ServingSystem(EventKernel):
         device = batch.device_name
         worker = self._worker(device)
         inflight = self._inflight.setdefault(device, deque())
+        self._still_executing()  # keeps _unfinished bounded by the work in flight
+        unfinished = self._unfinished
         start = max(batch.formed_us, self._free_at.get(device, 0.0))
         clock = self.system.clock
         cum = 0.0
@@ -936,8 +947,10 @@ class ServingSystem(EventKernel):
                     )
                 if self._metrics.enabled:
                     self._metrics.histogram("serve", "service_us").observe(service)
-                inflight.append(start + cum)
-                self._complete(request, start + cum, correct)
+                done = start + cum
+                inflight.append(done)
+                heapq.heappush(unfinished, done)
+                self._complete(request, done, correct)
                 if scaler is not None:
                     scaler.observe_completion(
                         start + cum, start + cum - request.arrival_us, service

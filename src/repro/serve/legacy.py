@@ -73,6 +73,10 @@ class ScanDeadlineBatcher:
     def depths(self) -> Dict[str, int]:
         return {d: len(p) for d, p in self._pending.items() if p}
 
+    @property
+    def pending(self) -> int:
+        return sum(len(p) for p in self._pending.values())
+
     def pending_requests(self, device_name: str) -> List[Request]:
         return [r for _, r in self._pending.get(device_name, ())]
 

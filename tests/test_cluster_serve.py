@@ -1,7 +1,10 @@
 """Sharded cluster serving: rendezvous routing, work stealing, node-kill
 checkpoint migration, and byte-identical replay."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
     Cluster,
@@ -69,6 +72,33 @@ class TestRouter:
         assert router.route(key, nodes, {home: 100, other: 5}) == other
         assert router.steals == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        backlogs=st.lists(st.integers(0, 200), min_size=1, max_size=6),
+        threshold=st.integers(-5, 150),
+        key=st.text(min_size=1, max_size=8),
+    )
+    def test_lazy_route_matches_eager_rule(self, backlogs, threshold, key):
+        """The route reads non-home backlogs only when the home is over
+        the threshold, and still picks what the eager rule picks."""
+        nodes = [f"node{i}" for i in range(len(backlogs))]
+        backlog = dict(zip(nodes, backlogs))
+        home = max(nodes, key=lambda n: (rendezvous_score(key, n), n))
+        coolest = min(nodes, key=lambda n: (backlog[n], n))
+        steal = len(nodes) > 1 and backlog[home] - backlog[coolest] > threshold
+        router = ClusterRouter(ImageRegistry(), steal_threshold=threshold)
+        reads = []
+
+        class Recording(dict):
+            def __getitem__(self, name):
+                reads.append(name)
+                return super().__getitem__(name)
+
+        assert router.route(key, nodes, Recording(backlog)) == (coolest if steal else home)
+        assert router.steals == int(steal)
+        if backlog[home] <= threshold:
+            assert set(reads) <= {home}
+
     def test_request_image(self):
         request = Request("t", "t-0", 0.0, 1e6)
         assert request_image(request) == "kernel:matmul"
@@ -91,6 +121,93 @@ class TestImageRegistry:
         images.register("kernel:matmul", ["node0"])
         images.drop_node("node0")
         assert images.nodes_for("kernel:matmul") == []
+
+    def test_every_mutation_bumps_version(self):
+        images = ImageRegistry()
+        versions = [images.version]
+        images.register("kernel:matmul", ["node0"])
+        versions.append(images.version)
+        images.replicate("kernel:matmul", "node1")
+        versions.append(images.version)
+        images.drop_node("node0")
+        versions.append(images.version)
+        assert versions == sorted(set(versions))
+
+
+def routing_digest(lines):
+    digest = hashlib.sha256()
+    for rid, target in lines:
+        digest.update(f"{rid}>{target}\n".encode())
+    return digest.hexdigest()
+
+
+class TestCandidateCache:
+    """The cached candidate sets follow every registry mutation: the next
+    route sees the new set."""
+
+    def serve_in_two_runs(self, images, mutate):
+        specs, requests = small_trace(requests=300)
+        requests = sorted(requests, key=lambda r: (r.arrival_us, r.rid))
+        half = len(requests) // 2
+        serving = build(3, images=images, steal_threshold=10**9)
+        serving.add_tenants(specs)
+        serving.run(requests[:half])
+        mutate(images)
+        # Every arrival of the second run comes after the first run ended.
+        serving.run(requests[half:])
+        return serving, requests[:half], requests[half:]
+
+    def expected_lines(self, serving, requests, candidates):
+        return [(r.rid, serving.router.home(r.tenant, candidates)) for r in requests]
+
+    @pytest.mark.parametrize(
+        "before, mutate, after",
+        [
+            (["node0"], lambda images: images.replicate("kernel:matmul", "node2"),
+             ["node0", "node2"]),
+            (["node0", "node1", "node2"],
+             lambda images: images.register("kernel:matmul", ["node1", "node2"]),
+             ["node1", "node2"]),
+        ],
+        ids=["replicate", "register-removes"],
+    )
+    def test_registry_mutation_between_runs(self, before, mutate, after):
+        images = ImageRegistry()
+        images.register("kernel:matmul", before)
+        serving, first, second = self.serve_in_two_runs(images, mutate)
+        lines = self.expected_lines(serving, first, before)
+        lines += self.expected_lines(serving, second, after)
+        assert serving._routing_digest.hexdigest() == routing_digest(lines)
+        routed = serving.report().routed
+        assert routed == {
+            name: sum(1 for _, target in lines if target == name)
+            for name in ("node0", "node1", "node2")
+        }
+        for name in set(before) ^ set(after):
+            assert any(target == name for _, target in lines)
+
+    def test_drop_node_mid_run(self):
+        specs, requests = small_trace(requests=300)
+        serving = build(3, steal_threshold=10**9)
+        serving.add_tenants(specs)
+        cut = len(requests) // 2
+        offer = serving.offer
+
+        def offer_then_drop(request):
+            if request.rid == requests[cut].rid:
+                serving.images.drop_node("node1")  # node1 stays alive
+            return offer(request)
+
+        serving.offer = offer_then_drop
+        report = serving.run(requests)
+        ordered = sorted(requests, key=lambda r: (r.arrival_us, r.rid))
+        at = next(i for i, r in enumerate(ordered) if r.rid == requests[cut].rid)
+        everyone, rest = ["node0", "node1", "node2"], ["node0", "node2"]
+        lines = self.expected_lines(serving, ordered[:at], everyone)
+        lines += self.expected_lines(serving, ordered[at:], rest)
+        assert serving._routing_digest.hexdigest() == routing_digest(lines)
+        assert report.routed["node1"] == sum(1 for _, t in lines if t == "node1") > 0
+        assert all(t != "node1" for _, t in lines[at:])
 
 
 class TestClusterServing:
@@ -206,6 +323,74 @@ class TestNodeKillMigration:
         assert report.orphaned >= 0
         if report.orphaned:
             assert report.audit_exactly_once() != []
+
+    def test_migration_stays_on_image_replicas(self):
+        """Harvested work moves only to survivors holding its image: node2
+        has no matmul replica, so it must receive nothing."""
+        images = ImageRegistry()
+        images.register("kernel:matmul", ["node0", "node1"])
+        specs, requests = small_trace(requests=500, rate=150_000.0)
+        serving = build(3, images=images)
+        serving.add_tenants(specs)
+        report = serving.run(requests, node_kill_events=[(1_500.0, "node1")])
+        assert report.migrated_requests > 0
+        assert report.per_node["node2"].admitted == set()
+        assert report.per_node["node2"].completed == {}
+        assert report.routed["node2"] == 0
+        assert serving.migration.sessions_on("node2") == []
+        assert {record.target for record in report.migrations} == {"node0"}
+        assert report.audit_exactly_once() == []
+
+    def test_harvest_without_replica_is_unroutable(self):
+        """With the only matmul replica dead, harvested requests are
+        counted unroutable and reported lost, never served elsewhere."""
+        images = ImageRegistry()
+        images.register("kernel:matmul", ["node1"])
+        specs, requests = small_trace(requests=500, rate=150_000.0)
+        serving = build(3, images=images)
+        serving.add_tenants(specs)
+        report = serving.run(requests, node_kill_events=[(1_500.0, "node1")])
+        late = sum(1 for r in requests if r.arrival_us > 1_500.0)
+        lost = [p for p in report.audit_exactly_once() if "never completed" in p]
+        assert lost and report.unroutable == late + len(lost)
+        assert report.migrated_requests == 0
+        for name in ("node0", "node2"):
+            assert report.per_node[name].admitted == set()
+
+    def test_backlog_matches_brute_force(self):
+        """At every offered arrival of a crash + node-kill run, each alive
+        node's O(1) backlog equals parked + queued + still executing."""
+        specs, requests = small_trace(requests=500, rate=150_000.0)
+        serving = build(3)
+        serving.add_tenants(specs)
+        offer = serving.offer
+        seen = {"checks": 0, "parked": 0, "busy": 0}
+
+        def brute(node):
+            now = node._now
+            total = len(node._parked)
+            for device in node._gpus:
+                total += node.batcher.depth(device)
+                total += sum(1 for t in node._inflight.get(device, ()) if t > now)
+            return total
+
+        def checked_offer(request):
+            for ns in serving._alive():
+                expected = brute(ns.serving)
+                assert ns.serving.backlog() == expected, (request.rid, ns.name)
+                seen["checks"] += 1
+                seen["parked"] += bool(ns.serving._parked)
+                seen["busy"] += expected > 0
+            return offer(request)
+
+        serving.offer = checked_offer
+        report = serving.run(
+            requests,
+            node_kill_events=[(1_500.0, "node1")],
+            crash_events=[(800.0, "node0", "gpu0"), (2_000.0, "node2", "gpu0")],
+        )
+        assert report.audit_exactly_once() == []
+        assert seen["checks"] > len(requests) and seen["parked"] and seen["busy"]
 
     def test_node_table_marks_corpse(self):
         _, report = self.run_kill()
