@@ -162,16 +162,17 @@ class MigrationManager:
 
         Call *after* the node's partitions were failed: the SPM's panic
         path scrubs each partition's pages before reclaiming them, so
-        every byte must read zero through the raw memory view.  Returns
-        the number of pages audited; violations are counted, not raised —
-        they are a benchmark invariant (must be 0).
+        every byte must read zero in raw memory; the check allocates no
+        page it audits.  Returns the number of pages audited; violations
+        are counted, not raised — they are a benchmark invariant (must
+        be 0).
         """
         memory = node.system.platform.memory
         audited = 0
         for session in self.sessions_on(node.name):
             for page in session.pages:
                 audited += 1
-                if any(bytes(memory.page_view(page))):
+                if not memory.page_is_zero(page):
                     self.scrub_violations += 1
         self.scrub_pages_audited += audited
         return audited

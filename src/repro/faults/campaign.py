@@ -35,7 +35,7 @@ import numpy as np
 from repro.faults import injector as _inj
 from repro.faults.injector import CRASH, CORRUPT, DROP, DUPLICATE, HANG, REORDER, FaultPlan, FaultRule
 from repro.faults.watchdog import Watchdog
-from repro.hw.memory import PAGE_SIZE
+from repro.hw.memory import PAGE_SIZE, ZERO_PAGE
 from repro.metrics.report import campaign_matrix, site_hit_table
 from repro.secure.partition import PartitionState
 from repro.secure.spm import RecoveryReport
@@ -385,7 +385,7 @@ def check_invariants(
             if spm.owner_of(page) is not None:
                 continue  # recycled into a live allocation since
             raw = system.platform.memory.read(page * PAGE_SIZE, PAGE_SIZE)
-            if any(raw):
+            if raw != ZERO_PAGE:
                 violations.append(
                     f"crashed-partition page {page:#x} readable after teardown"
                 )

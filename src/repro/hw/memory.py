@@ -11,6 +11,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 PAGE_SIZE = 4096
+ZERO_PAGE = bytes(PAGE_SIZE)
+"""One all-zero page: comparing a page to it is the C-speed zero check."""
 
 NORMAL_WORLD = "normal"
 SECURE_WORLD = "secure"
@@ -117,9 +119,13 @@ class PhysicalMemory:
             self.metrics.counter("memory", "zeroed_bytes").inc(length)
 
     def page_is_zero(self, page: int) -> bool:
-        """True if the page has never been written or was scrubbed."""
+        """True if the page has never been written or was scrubbed.
+
+        Never allocates: an audit of an untouched page leaves the memory
+        model as it found it (unlike :meth:`page_view`).
+        """
         chunk = self._pages.get(page)
-        return chunk is None or not any(chunk)
+        return chunk is None or chunk == ZERO_PAGE
 
     # -- helpers ------------------------------------------------------
     def _check(self, addr: int, length: int, world: str) -> None:

@@ -299,11 +299,13 @@ class ServingSystem(EventKernel):
         self._free_at: Dict[str, float] = {}
         self._inflight: Dict[str, deque] = {}
         """device -> completion instants of work already flushed to the
-        worker but not yet finished at ``_now`` (appended in increasing
-        order because ``_free_at`` is monotone per device)."""
-        self._unfinished: List[float] = []
-        """Min-heap of the same instants over every device, so ``backlog``
-        counts the still-executing work without visiting each device."""
+        worker (appended in increasing order because ``_free_at`` is
+        monotone per device).  After :meth:`_still_executing` it holds
+        exactly the instants later than ``_now``."""
+        self._unfinished: List[Tuple[float, str]] = []
+        """Min-heap of the same ``(instant, device)`` pairs over every
+        device, so ``backlog`` counts the still-executing work without
+        visiting each device, and settling it prunes each deque's head."""
         self._down_until = Timers()
         """device -> end of its partition's recovery window."""
         self._parked: List[Request] = []
@@ -716,31 +718,27 @@ class ServingSystem(EventKernel):
             return False
         return self._down_until.get(device, self._now) <= self._now
 
-    def _effective_depth(self, device_name: str) -> int:
-        """Pending queue depth plus requests still executing on the worker.
-
-        The batcher's per-device queue empties at every flush, but the
-        flushed work keeps the device busy until its completion instants
-        pass.  Scoring on the pending count alone made the placer stuff a
-        saturated device whose queue had just been flushed (its depth read
-        0 while its worker backlog grew without bound); counting the
-        not-yet-finished flushed requests keeps placement balanced against
-        actual device occupancy.  Integer arithmetic on recorded
-        completion instants, so both engines compute the same value.
-        """
-        backlog = self._inflight.get(device_name)
-        extra = 0
-        if backlog:
-            now = self._now
-            while backlog and backlog[0] <= now:
-                backlog.popleft()
-            extra = len(backlog)
-        return self.batcher.depth(device_name) + extra
-
     def _place(self, request: Request) -> None:
+        """Place one request on the lowest-scored servable partition.
+
+        A device's depth is its pending queue plus the flushed requests
+        still executing on its worker.  The batcher's queue empties at
+        every flush, but the flushed work keeps the device busy until its
+        completion instants pass; scoring on the pending count alone made
+        the placer stuff a saturated device whose queue had just been
+        flushed.  In-flight work is settled once here, so the placer reads
+        each device's count as a deque length.  With a static fleet and no
+        partition recovering every READY partition is servable, so the
+        readiness hook is skipped.
+        """
+        self._still_executing()
+        is_ready = (
+            None if self._fleet is None and not self._down_until else self._is_ready
+        )
         try:
             mos = self.placer.place(
-                request, self._effective_depth, is_ready=self._is_ready
+                request, self.batcher.depth, is_ready=is_ready,
+                executing=self._inflight,
             )
         except NoReadyPartition:
             self._parked.append(request)
@@ -832,10 +830,11 @@ class ServingSystem(EventKernel):
         return len(self._parked) + self.batcher.pending + self._still_executing()
 
     def _still_executing(self) -> int:
-        """Flushed requests not finished at ``_now``; drops the finished."""
-        unfinished, now = self._unfinished, self._now
-        while unfinished and unfinished[0] <= now:
-            heapq.heappop(unfinished)
+        """Flushed requests not finished at ``_now``; drops the finished
+        from ``_unfinished`` and from the head of their device's deque."""
+        unfinished, now, inflight = self._unfinished, self._now, self._inflight
+        while unfinished and unfinished[0][0] <= now:
+            inflight[heapq.heappop(unfinished)[1]].popleft()
         return len(unfinished)
 
     def harvest(self) -> List[Request]:
@@ -949,7 +948,7 @@ class ServingSystem(EventKernel):
                     self._metrics.histogram("serve", "service_us").observe(service)
                 done = start + cum
                 inflight.append(done)
-                heapq.heappush(unfinished, done)
+                heapq.heappush(unfinished, (done, device))
                 self._complete(request, done, correct)
                 if scaler is not None:
                     scaler.observe_completion(

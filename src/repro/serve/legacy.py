@@ -19,7 +19,7 @@ Nothing else should use this module; it is deliberately not exported from
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Sized, Tuple
 
 from repro.dispatch.dispatcher import DispatchError, NoReadyPartition
 from repro.secure.partition import PartitionState
@@ -186,11 +186,17 @@ class ScanSpatialPlacer:
         queue_depths,
         *,
         is_ready: Optional[Callable[[object], bool]] = None,
+        executing: Optional[Mapping[str, Sized]] = None,
     ):
         if callable(queue_depths):
-            depth_of = queue_depths
+            pending_of = queue_depths
         else:
-            depth_of = lambda name: queue_depths.get(name, 0)  # noqa: E731
+            pending_of = lambda name: queue_depths.get(name, 0)  # noqa: E731
+        if executing is None:
+            depth_of = pending_of
+        else:
+            def depth_of(name: str) -> int:
+                return pending_of(name) + len(executing.get(name, ()))
         candidates = [
             m for m in self._dispatcher.moses() if m.device_type == request.device_type
         ]

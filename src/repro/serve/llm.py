@@ -452,8 +452,10 @@ class LLMEngine(EventKernel):
 
     def _place(self, sequence: SequenceState) -> None:
         try:
+            # No partition recovering: every READY partition is servable.
             mos = self.placer.place(
-                sequence.request, self.batcher.depth, is_ready=self._is_ready
+                sequence.request, self.batcher.depth,
+                is_ready=self._is_ready if self._down_until else None,
             )
         except NoReadyPartition:
             self._parked.append(sequence)
@@ -616,7 +618,7 @@ class LLMEngine(EventKernel):
         # every KV page the victims held must already read as zeros.
         memory = self.system.platform.memory
         for page in victim_pages:
-            if any(bytes(memory.page_view(page))):
+            if not memory.page_is_zero(page):
                 self.scrub_violations += 1
         if cache is not None:
             cache.ensure_generation()

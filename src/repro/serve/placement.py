@@ -18,14 +18,18 @@ terms are cached per device and recomputed only for devices in the dirty
 set (``mark_dirty``), so a placement is a running-min pass over cached
 floats plus one O(1) queue-depth lookup per candidate, instead of
 rescoring every partition through the attribute chains and sorting the
-result.  The floating-point evaluation order of the score is kept exactly
-as the full recompute's, so incremental and full scoring are bit-equal.
+result.  The candidate index holds ``(device name, mOS)`` pairs and the
+loop reads clean terms straight from the cache, so the only call made per
+ready candidate is that depth lookup.  The floating-point evaluation order
+of the score is kept exactly as the full recompute's, so incremental and
+full scoring are bit-equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, List, Mapping, Optional, Set, Sized, Tuple, Union
 
 from repro.dispatch.dispatcher import DispatchError, EnclaveDispatcher, NoReadyPartition
 from repro.secure.partition import PartitionState
@@ -69,7 +73,8 @@ class SpatialPlacer:
         self._incremental = incremental
         self._registered = -1
         """Dispatcher registration count the candidate index was built at."""
-        self._by_type: Dict[str, List[object]] = {}
+        self._by_type: Dict[str, List[Tuple[str, object]]] = {}
+        """device type -> name-sorted (device name, mOS) candidate pairs."""
         self._by_name: Dict[str, object] = {}
         self._dirty: Set[str] = set()
         self._cached: Dict[str, Tuple[float, float, int, int]] = {}
@@ -89,11 +94,11 @@ class SpatialPlacer:
             name = mos.partition.device.name
             # Candidates sorted by device name so a running-min pass with a
             # strict `<` reproduces the (score, name) sort order exactly.
-            self._by_type.setdefault(mos.device_type, []).append(mos)
+            self._by_type.setdefault(mos.device_type, []).append((name, mos))
             self._by_name[name] = mos
             self._dirty.add(name)
         for candidates in self._by_type.values():
-            candidates.sort(key=lambda m: m.partition.device.name)
+            candidates.sort(key=itemgetter(0))
 
     def mark_dirty(self, device_name: str) -> None:
         """Invalidate one device's cached context/reserved score terms.
@@ -162,23 +167,20 @@ class SpatialPlacer:
                 )
         return problems
 
-    def _terms(self, mos) -> Tuple[float, float, int, int]:
-        """The cached (contexts_term, reserved_term) pair for one device."""
-        name = mos.partition.device.name
-        if not self._incremental or name in self._dirty or name not in self._cached:
-            device = mos.partition.device
-            contexts = (
-                device.active_contexts() if hasattr(device, "active_contexts") else 0
-            )
-            reserved = mos.manager.reserved_bytes
-            self._cached[name] = (
-                self.weight_contexts * contexts,
-                self.weight_reserved_per_gib * (reserved / float(1 << 30)),
-                contexts,
-                reserved,
-            )
-            self._dirty.discard(name)
-        return self._cached[name]
+    def _terms(self, name: str, mos) -> Tuple[float, float, int, int]:
+        """Recompute and cache one device's (contexts_term, reserved_term,
+        contexts, reserved) tuple."""
+        device = mos.partition.device
+        contexts = device.active_contexts() if hasattr(device, "active_contexts") else 0
+        reserved = mos.manager.reserved_bytes
+        terms = self._cached[name] = (
+            self.weight_contexts * contexts,
+            self.weight_reserved_per_gib * (reserved / float(1 << 30)),
+            contexts,
+            reserved,
+        )
+        self._dirty.discard(name)
+        return terms
 
     # -- scoring -----------------------------------------------------------
     def score(self, mos, queue_depth: int) -> PartitionScore:
@@ -217,18 +219,22 @@ class SpatialPlacer:
         queue_depths: DepthSource,
         *,
         is_ready: Optional[Callable[[object], bool]] = None,
+        executing: Optional[Mapping[str, Sized]] = None,
     ):
         """Pick the mOS for ``request``; returns the chosen MicroOS.
 
         ``queue_depths`` is either a mapping of device name to pending
         count or an O(1) lookup callable (the frontend passes
         ``batcher.depth`` so no per-placement dict is built).
+        ``executing`` (optional) maps a device name to the work flushed to
+        it and still running; its length adds to the device's depth.
 
         ``is_ready`` lets the frontend overlay its own availability view
         (a partition inside its background-recovery window is READY in the
-        SPM's eyes but not yet servable).  Raises :class:`NoReadyPartition`
-        when candidates exist but none is available — the caller parks the
-        request until a recovery completes — and plain
+        SPM's eyes but not yet servable); None means every READY partition
+        is servable.  Raises :class:`NoReadyPartition` when candidates
+        exist but none is available — the caller parks the request until a
+        recovery completes — and plain
         :class:`~repro.dispatch.dispatcher.DispatchError` when no
         partition matches at all.
         """
@@ -241,7 +247,7 @@ class SpatialPlacer:
         if request.device_name is not None:
             pinned = self._by_name.get(request.device_name)
             candidates = (
-                [pinned]
+                [(request.device_name, pinned)]
                 if pinned is not None and pinned.device_type == request.device_type
                 else []
             )
@@ -256,20 +262,25 @@ class SpatialPlacer:
             )
         best = None
         best_score = 0.0
-        n_candidates = 0
         weight_queue = self.weight_queue
-        for mos in candidates:
-            n_candidates += 1
-            if mos.partition.state is not PartitionState.READY:
+        cached = self._cached if self._incremental else {}
+        dirty = self._dirty
+        ready = PartitionState.READY
+        for name, mos in candidates:
+            if mos.partition.state is not ready:
                 continue
             if is_ready is not None and not is_ready(mos):
                 continue
-            contexts_term, reserved_term, _, _ = self._terms(mos)
+            terms = None if name in dirty else cached.get(name)
+            if terms is None:
+                terms = self._terms(name, mos)
+            depth = depth_of(name)
+            if executing is not None:
+                running = executing.get(name)
+                if running:
+                    depth += len(running)
             # Same FP evaluation order as `score`: (A + B) + C.
-            name = mos.partition.device.name
-            value = (
-                contexts_term + weight_queue * depth_of(name)
-            ) + reserved_term
+            value = (terms[0] + weight_queue * depth) + terms[1]
             # Candidates iterate in device-name order, so strict `<` keeps
             # the first (lowest-named) of any score tie — the legacy
             # (score, device_name) sort's choice.
@@ -278,7 +289,7 @@ class SpatialPlacer:
                 best_score = value
         if best is None:
             raise NoReadyPartition(
-                f"all {n_candidates} candidate partition(s) for request "
+                f"all {len(candidates)} candidate partition(s) for request "
                 f"{request.rid!r} are crashed or recovering"
             )
         self.placements += 1

@@ -102,7 +102,13 @@ class EventKernel:
         can no longer run.  ``telemetry`` (None: off) is the pipeline whose
         ``scrape`` the scrape rule drives every ``scrape_interval_us``:
         a scrape subdivides a wait but never extends the makespan, runs
-        last in its instant, and runs once more at the makespan."""
+        last in its instant, and runs once more at the makespan.  A
+        :class:`Schedule` empty at the start never has work, so it is
+        dropped rather than peeked and fired at every instant."""
+        sources = [
+            source for source in sources
+            if not (isinstance(source, Schedule) and source.peek() is None)
+        ]
         peeks = [source.peek for source in sources if source.peek is not None]
         fires = [source.fire for source in sources]
         scrape_at = interval = None

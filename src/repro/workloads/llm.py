@@ -31,7 +31,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.hw.memory import PAGE_SIZE
+from repro.hw.memory import PAGE_SIZE, ZERO_PAGE
 from repro.secure.partition import Partition
 from repro.secure.spm import SPM
 from repro.sim.costs import CostModel
@@ -237,7 +237,7 @@ class PagedKVCache:
         # byte here is another sequence's KV showing through — the exact
         # leak the paper's failure-clearing step exists to prevent.
         for page in pages:
-            if any(self._partition.read(page * PAGE_SIZE, PAGE_SIZE)):
+            if self._partition.read(page * PAGE_SIZE, PAGE_SIZE) != ZERO_PAGE:
                 self.leaked_blocks += 1
                 break
         return pages

@@ -48,12 +48,25 @@ class _Pipeline:
         self.scrapes.append(t_us)
 
 
+class _CountingSchedule(Schedule):
+    __slots__ = ("peeks",)
+
+    def __init__(self, entries, handle):
+        super().__init__(entries, handle)
+        self.peeks = 0
+
+    def peek(self):
+        self.peeks += 1
+        return super().peek()
+
+
 class TestKernel:
-    def run(self, times, telemetry=None):
+    def run(self, times, telemetry=None, extra=()):
         kernel = EventKernel()
         log = []
         phases = [
             Schedule([(t, "a") for t in times], lambda e: log.append(("a", e[0]))),
+            *extra,
             Source(None, lambda now: log.append(("flush", now))),
         ]
         kernel._run_events(
@@ -69,6 +82,17 @@ class TestKernel:
             ("drain", 7.0),
         ]
         assert kernel._now == 7.0
+
+    def test_an_empty_schedule_is_dropped_without_changing_the_fire_order(self):
+        times = [3.0, 3.0, 7.0, 12.0]
+        plain, with_empty = _Pipeline(), _Pipeline()
+        kernel, log = self.run(times, plain)
+        empty = _CountingSchedule([], lambda e: log.append(("never", e)))
+        other, other_log = self.run(times, with_empty, extra=[empty])
+        assert other_log == log and other._now == kernel._now
+        assert with_empty.scrapes == plain.scrapes
+        # Peeked once, when the run starts, and never again.
+        assert empty.peeks == 1
 
     def test_scrapes_subdivide_waits_but_never_extend_the_makespan(self):
         telemetry = _Pipeline()
