@@ -48,18 +48,25 @@ class Manifest:
             raise ManifestError(f"unknown device type {self.device_type!r}")
         if self.memory_bytes <= 0:
             raise ManifestError(f"bad memory capacity {self.memory_bytes}")
-        names = [c.name for c in self.mecalls]
-        if len(names) != len(set(names)):
+        by_name = {c.name: c for c in self.mecalls}
+        if len(by_name) != len(self.mecalls):
             raise ManifestError("duplicate mECall names")
+        # name -> spec for O(1) dispatch.  Set as a plain attribute, not a
+        # dataclass field, so ``==``, ``hash``, ``repr`` and ``serialize``
+        # see exactly the declared fields.
+        object.__setattr__(self, "_by_name", by_name)
 
     def mecall(self, name: str) -> MECallSpec:
-        for call in self.mecalls:
-            if call.name == name:
-                return call
-        raise ManifestError(f"mECall {name!r} not declared in manifest")
+        try:
+            return self._by_name[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise ManifestError(f"mECall {name!r} not declared in manifest") from None
 
     def allows(self, name: str) -> bool:
-        return any(c.name == name for c in self.mecalls)
+        try:
+            return name in self._by_name
+        except TypeError:  # an unhashable name is never declared
+            return False
 
     def check_image(self, file_name: str, blob: bytes) -> None:
         """Verify one image blob against its declared hash."""

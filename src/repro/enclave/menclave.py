@@ -78,9 +78,6 @@ class MEnclave:
         """dCheck helper: prove possession of secret_dhke over a channel."""
         return mac(self._secret_dhke, b"dcheck" + challenge)
 
-    def secret_matches(self, response: bytes, challenge: bytes) -> bool:
-        return mac_valid(self._secret_dhke, b"dcheck" + challenge, response)
-
     # -- mECall paths ---------------------------------------------------------
     def mecall_untrusted(
         self,
@@ -103,8 +100,17 @@ class MEnclave:
         return self._invoke(fn, args, kwargs or {})
 
     def mecall_trusted(self, fn: str, args: tuple = (), kwargs: Optional[dict] = None) -> Any:
-        """The trusted path, used by an sRPC channel after dCheck."""
-        return self._invoke(fn, args, kwargs or {})
+        """The trusted path, used by an sRPC channel after dCheck.
+
+        Runs the same checks as :meth:`_invoke` in line: this is the
+        per-call path of every sRPC record.
+        """
+        if not self.alive:
+            raise ExecutionError(f"mEnclave {self.eid:#010x} destroyed")
+        if not self.manifest.allows(fn):
+            raise ManifestError(f"mECall {fn!r} not in the manifest's static list")
+        self.calls_served += 1
+        return self._model.me_call(self._state, fn, args, kwargs or {})
 
     def _invoke(self, fn: str, args: tuple, kwargs: dict) -> Any:
         if not self.alive:

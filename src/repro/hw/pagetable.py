@@ -31,6 +31,16 @@ class PagePermission(enum.Flag):
     RW = R | W
 
 
+#: ``(perm, write) -> allowed`` for every permission value: the answer of
+#: ``perm & (W if write else R)``, looked up on each TLB miss instead of
+#: computed (``enum.Flag.__and__`` costs microseconds per call).
+_GRANTS: Dict[Tuple[PagePermission, bool], bool] = {
+    (perm, write): bool(perm & (PagePermission.W if write else PagePermission.R))
+    for perm in map(PagePermission, range(PagePermission.RW.value + 1))
+    for write in (False, True)
+}
+
+
 class PageFault(Exception):
     """An access through a missing or invalidated translation."""
 
@@ -158,8 +168,7 @@ class PageTable:
                 table=self.name,
                 invalidated=True,
             )
-        needed = PagePermission.W if write else PagePermission.R
-        if not entry.perm & needed:
+        if not _GRANTS[entry.perm, write]:
             raise PageFault(
                 f"{self.name}: permission denied on page {virt_page:#x}",
                 page=virt_page,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import struct
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -40,6 +41,8 @@ from repro.rpc.ringbuffer import RingBufferError, SharedRingBuffer
 from repro.secure.partition import Partition, PartitionState, PeerFailedSignal
 from repro.secure.spm import SPMError
 from repro.sim import Timeline
+
+_PACK_LEN = struct.Struct(">I")
 
 
 class ChannelError(Exception):
@@ -127,14 +130,16 @@ class _Stream:
 
     # -- data path ---------------------------------------------------------
     def enqueue(self, record: bytes) -> None:
-        costs = self._channel._platform.costs
+        platform = self._channel._platform
+        costs = platform.costs
+        clock = platform.clock
         if not self.thread_started:
             # The normal world spawns this stream's consumer thread on
             # first use (streams are created on demand, section IV-C).
-            self._channel._platform.clock.advance(costs.thread_spawn_us)
+            clock.advance(costs.thread_spawn_us)
             self.thread_started = True
-        self._channel._platform.clock.advance(costs.srpc_enqueue_us(len(record)))
-        metrics = self._channel._platform.metrics
+        clock.advance(costs.srpc_enqueue_us(len(record)))
+        metrics = platform.metrics
         if metrics.enabled:
             metrics.counter("srpc", "enqueued").inc()
             metrics.histogram("srpc", "record_bytes").observe(len(record))
@@ -204,19 +209,21 @@ class _Stream:
                 ctx = None
         except Exception as exc:  # unpickling garbage raises a zoo of types
             self._raise_drain_failure(f"undecodable record ({exc!r})", cause=exc)
-        costs = self._channel._platform.costs
+        channel = self._channel
+        platform = channel._platform
+        costs = platform.costs
         completion = self.consumer.submit(
             costs.enclave_entry_us
             + costs.copy_cost_us(len(record), per_kib=costs.smem_us_per_kib)
         )
-        obs = self._channel._platform.obs
+        obs = platform.obs
+        callee = channel.callee
         if obs.enabled and ctx is not None:
             # The consumer-side execution window, parented on the caller's
             # in-band context: this is the span that crosses the mEnclave
             # (and partition) boundary.  ``record`` also marks this trace as
             # the last one active on the callee's partition, so a crash
             # parents its recovery spans here.
-            callee = self._channel.callee
             obs.record(
                 "srpc.execute",
                 start_us=self.consumer.last_start,
@@ -228,7 +235,7 @@ class _Stream:
                 fn=fn,
                 stream=self.stream_id,
             )
-        result = self._channel.callee.enclave.mecall_trusted(fn, args, kwargs)
+        result = callee.enclave.mecall_trusted(fn, args, kwargs)
         self.ring.bump_sid()
         return result
 
@@ -260,18 +267,18 @@ class _Stream:
         if len(blob) + 4 > self.MAILBOX_PAGES * PAGE_SIZE:
             # Big results (e.g. a tensor) are staged through freshly shared
             # pages; the timing equivalent is one smem copy of that size.
-            channel._platform.clock.advance(
-                channel._platform.costs.copy_cost_us(
-                    len(blob), per_kib=channel._platform.costs.smem_us_per_kib
+            platform = channel._platform
+            platform.clock.advance(
+                platform.costs.copy_cost_us(
+                    len(blob), per_kib=platform.costs.smem_us_per_kib
                 )
             )
             return result
-        channel.callee.partition.write(
-            self.mailbox_base, len(blob).to_bytes(4, "big") + blob
-        )
-        raw_len = int.from_bytes(channel.caller.partition.read(self.mailbox_base, 4), "big")
-        raw = channel.caller.partition.read(self.mailbox_base + 4, raw_len)
-        return pickle.loads(raw)
+        mailbox = self.mailbox_base
+        channel.callee.partition.write(mailbox, _PACK_LEN.pack(len(blob)) + blob)
+        caller = channel.caller.partition
+        raw_len = _PACK_LEN.unpack(caller.read(mailbox, 4))[0]
+        return pickle.loads(caller.read(mailbox + 4, raw_len))
 
     def _expand_smem(self, need_bytes: int) -> None:
         """Out-of-memory rule: expand smem and re-run dCheck (section IV-C).
@@ -421,18 +428,18 @@ class SRPCChannel:
     # -- the RPC fast path -----------------------------------------------------
     def call(self, fn: str, *args: Any, stream: int = 0, **kwargs: Any) -> Any:
         """Issue one mECall on ``stream``; blocks only if it is synchronous."""
-        self._require_usable()
+        if self._closed or self._failed_peer is not None:
+            self._require_usable()
         synchronous = self.callee.enclave.is_synchronous(fn)
         obs = self._platform.obs
         span = NO_SPAN
         if obs.enabled:
+            caller_partition = self.caller.partition
             span = obs.begin(
                 "srpc.call",
                 category="srpc",
                 partition=(
-                    self.caller.partition.name
-                    if self.caller.partition is not None
-                    else None
+                    caller_partition.name if caller_partition is not None else None
                 ),
                 fn=fn,
                 stream=stream,
@@ -449,16 +456,19 @@ class SRPCChannel:
         else:
             record = pickle.dumps((fn, args, kwargs))
         try:
-            s = self.stream(stream)
+            s = self._streams.get(stream)
+            if s is None:
+                s = self.stream(stream)
             s.enqueue(record)
             self.calls_streamed += 1
             result = s.drain_one()
             if synchronous:
                 self.sync_points += 1
                 s.consumer.join()
-                if not s.ring.stream_check():
+                ring = s.ring
+                if not ring.stream_check():
                     raise ChannelError(
-                        f"streamCheck failed: Rid={s.ring.rid} Sid={s.ring.sid}"
+                        f"streamCheck failed: Rid={ring.rid} Sid={ring.sid}"
                     )
                 out = s.read_mailbox_result(result)
                 obs.end(span, outcome="ok")
@@ -558,10 +568,6 @@ class SRPCChannel:
     @property
     def _grant(self):
         return self._streams[0].grant
-
-    @property
-    def _mailbox_base(self) -> int:
-        return self._streams[0].mailbox_base
 
     @property
     def _consumer(self) -> Timeline:

@@ -96,7 +96,7 @@ class SharedRingBuffer:
 
     # -- header fields ---------------------------------------------------
     def _read_u64(self, partition: Partition, offset: int) -> int:
-        return int.from_bytes(partition.read(self._base + offset, _U64), "big")
+        return _PACK_U64.unpack(partition.read(self._base + offset, _U64))[0]
 
     def _write_u64(self, partition: Partition, offset: int, value: int) -> None:
         partition.write(self._base + offset, _PACK_U64.pack(value))
@@ -159,84 +159,84 @@ class SharedRingBuffer:
                     record = act.mangle(record)
                 elif act.action == _faults.DUPLICATE:
                     self.push(record)  # the duplicate counts as its own hit
-        need = len(record) + 4
+        size = len(record)
+        need = size + 4
         capacity = self.capacity
         tail = self._tail
         free = capacity - ((tail - self._head) % capacity) - 1
         if need > free:
             raise RingBufferError(
-                f"record of {len(record)} bytes does not fit "
+                f"record of {size} bytes does not fit "
                 f"(free={free}, capacity={capacity})"
             )
+        producer = self._producer
+        base = self._base
         scratch = self._scratch
         if len(scratch) < need:
             scratch.extend(bytearray(need - len(scratch)))
-        scratch[:4] = _PACK_LEN.pack(len(record))
+        _PACK_LEN.pack_into(scratch, 0, size)
         scratch[4:need] = record
         if tail + need <= capacity:  # common case: the record does not wrap
-            self._producer.write(
-                self._base + _HEADER + tail, memoryview(scratch)[:need]
-            )
+            producer.write(base + _HEADER + tail, memoryview(scratch)[:need])
         else:
-            self._write_circular(self._producer, tail, memoryview(scratch)[:need])
-        self._tail = (tail + need) % capacity
-        self._rid += 1
+            self._write_circular(producer, tail, memoryview(scratch)[:need])
+        tail = self._tail = (tail + need) % capacity
+        rid = self._rid = self._rid + 1
         # Write back both producer-owned header words (Rid, tail) in one
         # access: they are adjacent by layout.
-        self._producer.write(
-            self._base + _OFF_RID, _PACK_PAIR.pack(self._rid, self._tail)
-        )
+        producer.write(base + _OFF_RID, _PACK_PAIR.pack(rid, tail))
         self.header_writebacks += 1
-        self._record_sizes.append(len(record))
+        self._record_sizes.append(size)
         if self._obs.enabled:
             self._obs.event(
-                "ring.push", category="ring", partition=self._producer.name,
-                rid=self._rid, bytes=len(record),
+                "ring.push", category="ring", partition=producer.name,
+                rid=rid, bytes=size,
             )
         if self._metrics.enabled:
             self._metrics.counter("ring", "pushes").inc()
-            self._metrics.counter("ring", "pushed_bytes").inc(len(record))
-        return self._rid
+            self._metrics.counter("ring", "pushed_bytes").inc(size)
+        return rid
 
     def pop(self) -> Optional[bytes]:
         """Consumer removes the oldest record (None if the ring is empty)."""
         if _faults.ACTIVE is not None:
             self._fire_ring_site("ring.pop", self._consumer)
+        consumer = self._consumer
         if self._head == self._tail:
             # Empty by the mirrors — still touch the shared header so an
             # idle consumer polling a torn-down ring traps like it used to.
-            self._refresh_header(self._consumer)
+            self._refresh_header(consumer)
             if self._head == self._tail:
                 return None
         head = self._head
-        expected = self._record_sizes[0] if self._record_sizes else None
-        if expected is not None:
+        capacity = self.capacity
+        sizes = self._record_sizes
+        if sizes:
             # Fetch prefix+record in one access; the prefix read from
             # shared memory remains authoritative.
-            if head + 4 + expected <= self.capacity:  # common case: no wrap
-                raw = self._consumer.read(self._base + _HEADER + head, 4 + expected)
+            expected = sizes[0]
+            if head + 4 + expected <= capacity:  # common case: no wrap
+                raw = consumer.read(self._base + _HEADER + head, 4 + expected)
             else:
-                raw = self._read_circular(self._consumer, head, 4 + expected)
+                raw = self._read_circular(consumer, head, 4 + expected)
             length = _PACK_LEN.unpack_from(raw)[0]
             if length != expected:
                 raise RingBufferError(
                     f"corrupt record length {length} (expected {expected})"
                 )
             record = raw[4:]
-            self._record_sizes.popleft()
+            sizes.popleft()
         else:
-            length = int.from_bytes(self._read_circular(self._consumer, head, 4), "big")
-            if length > self.capacity:
+            length = _PACK_LEN.unpack(self._read_circular(consumer, head, 4))[0]
+            if length > capacity:
                 raise RingBufferError(f"corrupt record length {length}")
-            record = self._read_circular(
-                self._consumer, (head + 4) % self.capacity, length
-            )
-        head = self._head = (head + 4 + length) % self.capacity
-        self._consumer.write(self._base + _OFF_HEAD, _PACK_U64.pack(head))
+            record = self._read_circular(consumer, (head + 4) % capacity, length)
+        head = self._head = (head + 4 + length) % capacity
+        consumer.write(self._base + _OFF_HEAD, _PACK_U64.pack(head))
         self.header_writebacks += 1
         if self._obs.enabled:
             self._obs.event(
-                "ring.pop", category="ring", partition=self._consumer.name,
+                "ring.pop", category="ring", partition=consumer.name,
                 bytes=length,
             )
         if self._metrics.enabled:

@@ -42,6 +42,9 @@ class PeerFailedSignal(Exception):
         self.page = page
 
 
+_READY = PartitionState.READY
+
+
 class Partition:
     """One isolated S-EL2 partition."""
 
@@ -65,6 +68,11 @@ class Partition:
         # probe it without a method call.  The dict object is stable for
         # the partition's lifetime (flush/shoot-down mutate it in place).
         self._tlb = self.stage2._tlb
+        # Direct reference to the physical page dict, for the same reason:
+        # a translated page that already exists is indexed here instead of
+        # through ``page_view`` (pages in the dict are in range by
+        # construction, and ``PhysicalMemory`` never reassigns the dict).
+        self._pages = memory._pages
         # Hot-path counters (host-speed observability, see docs/costmodel.md).
         self.fast_accesses = 0
         self.slow_accesses = 0
@@ -85,10 +93,11 @@ class Partition:
             self._fire_access_site("partition.read")
         page = ipa >> _PAGE_SHIFT
         start = ipa & _PAGE_MASK
-        if length <= 0 or start + length > PAGE_SIZE:
+        end = start + length
+        if length <= 0 or end > PAGE_SIZE:
             # Zero-length reads never walked the table; keep that behaviour.
             return self._access(ipa, length, data=None)
-        if self.state is not PartitionState.READY:
+        if self.state is not _READY:
             raise PeerFailedSignal(self.name, page=0)
         self.fast_accesses += 1
         phys_page = self._tlb.get((page, False))
@@ -96,8 +105,10 @@ class Partition:
             phys_page = self._translate_trapping(page, write=False)
         else:
             self.stage2.tlb_hits += 1
-        chunk = self._memory.page_view(phys_page)
-        return bytes(memoryview(chunk)[start : start + length])
+        chunk = self._pages.get(phys_page)
+        if chunk is None:
+            chunk = self._memory.page_view(phys_page)
+        return bytes(memoryview(chunk)[start:end])
 
     def write(self, ipa: int, data: bytes) -> None:
         """Write guest-physical memory through the stage-2 table."""
@@ -105,10 +116,11 @@ class Partition:
             self._fire_access_site("partition.write")
         page = ipa >> _PAGE_SHIFT
         start = ipa & _PAGE_MASK
-        if not data or start + len(data) > PAGE_SIZE:
+        end = start + len(data)
+        if not data or end > PAGE_SIZE:
             self._access(ipa, len(data), data=data)
             return
-        if self.state is not PartitionState.READY:
+        if self.state is not _READY:
             raise PeerFailedSignal(self.name, page=0)
         self.fast_accesses += 1
         phys_page = self._tlb.get((page, True))
@@ -116,8 +128,10 @@ class Partition:
             phys_page = self._translate_trapping(page, write=True)
         else:
             self.stage2.tlb_hits += 1
-        chunk = self._memory.page_view(phys_page)
-        chunk[start : start + len(data)] = data
+        chunk = self._pages.get(phys_page)
+        if chunk is None:
+            chunk = self._memory.page_view(phys_page)
+        chunk[start:end] = data
 
     def _fire_access_site(self, site: str) -> None:
         """Fire an injection site at a memory access.

@@ -104,6 +104,18 @@ FLEET_PARKED = "parked"
 _SERVABLE_STATES = (FLEET_LIVE, FLEET_DRAINING)
 
 
+def result_matches(out: np.ndarray, expected: np.ndarray) -> bool:
+    """``np.allclose(out, expected, atol=1e-2)``, with an exact shortcut.
+
+    The simulated GPU computes ``np.matmul`` bit-identically to the host
+    reference, so an elementwise-equal result is the common case and is
+    checked first.  The shortcut never changes the answer: equal arrays
+    hold no NaN, and ``isclose`` is True for equal finite values and for
+    equal infinities.
+    """
+    return bool((out == expected).all()) or bool(np.allclose(out, expected, atol=1e-2))
+
+
 class ServingError(Exception):
     """Frontend misuse (unknown device, unsupported request kind)."""
 
@@ -180,7 +192,7 @@ class _PartitionWorker:
         correct = (
             isinstance(out, np.ndarray)
             and out.shape == expected.shape
-            and bool(np.allclose(out, expected, atol=1e-2))
+            and result_matches(out, expected)
         )
         return clock.now - start, correct, crashed_after
 

@@ -55,6 +55,23 @@ class TestPageTable:
         with pytest.raises(PageFault):
             table.translate(0x10, write=True)
 
+    @pytest.mark.parametrize("write", [False, True])
+    @pytest.mark.parametrize("value", range(PagePermission.RW.value + 1))
+    def test_permission_check_matches_flag_and(self, value, write):
+        """The precomputed grant table answers exactly as ``perm & needed``."""
+        perm = PagePermission(value)
+        needed = PagePermission.W if write else PagePermission.R
+        table = PageTable("t")
+        table.map(0x10, 0x99, perm)
+        if perm & needed:
+            assert table.translate(0x10, write=write) == 0x99
+            assert table.translate(0x10, write=write) == 0x99  # TLB hit
+        else:
+            with pytest.raises(PageFault) as exc:
+                table.translate(0x10, write=write)
+            assert not exc.value.invalidated
+            assert table.tlb_stats["cached"] == 0
+
     def test_pages_shared_with(self):
         table = PageTable("t")
         table.map(0x10, 0x99, shared_with="peer")

@@ -171,6 +171,69 @@ def test_manifest_json_roundtrip_property(manifest):
     assert clone.serialize() == manifest.serialize()
 
 
+@given(
+    st.lists(
+        st.builds(
+            MECallSpec,
+            name=st.text(alphabet="abcd_", min_size=1, max_size=3),
+            synchronous=st.booleans(),
+        ),
+        max_size=6,
+    ),
+    st.lists(st.text(alphabet="abcd_", min_size=1, max_size=3), max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_manifest_dispatch_matches_linear_scan(specs, probes):
+    """The name -> spec index answers exactly as a scan of ``mecalls``."""
+    from dataclasses import fields
+
+    from repro.crypto.dh import DiffieHellman
+    from repro.enclave.manifest import ManifestError
+    from repro.enclave.menclave import MEnclave
+
+    mecalls = tuple(specs)
+    if len({c.name for c in mecalls}) != len(mecalls):
+        with pytest.raises(ManifestError, match="duplicate"):
+            Manifest(device_type="gpu", images={}, mecalls=mecalls)
+        return
+    manifest = Manifest(device_type="gpu", images={}, mecalls=mecalls)
+    enclave = MEnclave(
+        eid=1, manifest=manifest, model=None, state={}, measurement=b"",
+        creator_dh_public=DiffieHellman(b"creator").public, dh_seed=b"enclave",
+    )
+    for name in probes + [c.name for c in mecalls]:
+        scanned = [c for c in mecalls if c.name == name]
+        assert manifest.allows(name) == bool(scanned)
+        if scanned:
+            assert manifest.mecall(name) is scanned[0]
+            assert enclave.is_synchronous(name) == scanned[0].synchronous
+        else:
+            with pytest.raises(ManifestError, match="not declared"):
+                manifest.mecall(name)
+            with pytest.raises(ManifestError):
+                enclave.is_synchronous(name)
+    # A name from the untrusted path may be any JSON value; an unhashable
+    # one is undeclared, as the scan found it.
+    assert not manifest.allows(["cudaMalloc"])
+    with pytest.raises(ManifestError, match="not declared"):
+        manifest.mecall({"fn": "cudaMalloc"})
+    # The index is not a dataclass field: equality, repr and the measured
+    # bytes see only the declared fields.
+    twin = Manifest(device_type="gpu", images={}, mecalls=tuple(specs))
+    assert [f.name for f in fields(Manifest)] == [
+        "device_type", "images", "mecalls", "memory_bytes"
+    ]
+    assert twin == manifest
+    assert repr(twin) == repr(manifest)
+    assert twin.serialize() == manifest.serialize()
+    # ``hash`` is the generated field-tuple hash, which ``images`` (a dict)
+    # makes unhashable: the same TypeError with and without the index.
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(manifest)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(tuple(getattr(manifest, f.name) for f in fields(Manifest)))
+
+
 # ------------------------------------------------------------ cost monotony
 
 
